@@ -23,7 +23,6 @@ from .classify import (
     ClassifyTolerances,
     PhaseTable,
     ScanControl,
-    SweepPlan,
     ThresholdEstimate,
     classify,
     ell_star_cached,
@@ -59,12 +58,10 @@ from .model import (
     coexistence_state,
     cosine_bump,
     field_bounds,
-    front_speed_bound,
     in_weak_regime,
     reaction,
 )
 from .solver import (
-    ReferenceGrid,
     RunControl,
     Snapshot,
     State,

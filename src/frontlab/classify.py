@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -31,13 +31,9 @@ from .errors import InconclusiveError, RegimeError, SolverFailure
 from .kernels import Kernel, make_kernel
 from .model import InitialData, ModelParams
 from .solver import RunControl, Trajectory, auto_dt, run
-from .supersolution import (  # noqa: F401  (re-exported oracle interface)
-    DominationReport,
-    SuperSolutionSpec,
-    build_vanishing_supersolution,
-    build_vanishing_supersolution_predation,
-    check_domination,
-)
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 SPREADING = "Spreading"
 VANISHING = "Vanishing"
@@ -345,16 +341,10 @@ def estimate_threshold(
 
 # --- parameter sweeps -------------------------------------------------------
 
+# axes a sweep may vary; h0 is a RunConfig field, every other axis a ModelParams field
 SWEEP_AXES = ("a", "d1", "d2", "h0", "mu", "rho", "kind")
 
-PHASE_COLUMNS = (
-    "a",
-    "d1",
-    "d2",
-    "h0",
-    "mu",
-    "rho",
-    "kind",
+PHASE_COLUMNS = SWEEP_AXES + (
     "verdict",
     "certificate",
     "final_length",
@@ -364,70 +354,30 @@ PHASE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Cartesian grid over a subset of SWEEP_AXES on top of a base setup.
-
-    base must supply every model/init/numeric field a single run needs:
-    kind, d1, d2, a, b, c, mu, rho, h0, amp_u, amp_v, kernel_family,
-    kernel_radius, horizon, n, plus optional dt/record_every/tolerances.
-    """
-
-    base: dict
-    axes: dict
-
-    def __post_init__(self):
-        for name in self.axes:
-            if name not in SWEEP_AXES:
-                raise ValueError(f"unknown sweep axis {name!r}; allowed: {', '.join(SWEEP_AXES)}")
-            if not self.axes[name]:
-                raise ValueError(f"sweep axis {name!r} has no values")
-
-    def cells(self) -> list[dict]:
-        """Row-major expansion in canonical axis order."""
-        names = [name for name in SWEEP_AXES if name in self.axes]
-        out = []
-        for combo in product(*(self.axes[name] for name in names)):
-            cell = dict(self.base)
-            cell.update(dict(zip(names, combo)))
-            out.append(cell)
-        return out
-
-
 @dataclass
 class PhaseTable:
     columns: tuple
     rows: list  # list of dicts keyed by columns
 
 
-def _sweep_cell(cell: dict) -> dict:
-    """One sweep job: build, run, classify.  Failures become a row with
-    verdict 'Failed' instead of aborting the sweep."""
-    out = {name: cell[name] for name in ("a", "d1", "d2", "h0", "mu", "rho", "kind")}
+def _sweep_cell(cell: tuple) -> dict:
+    """One sweep job: the base config with the cell's axis values applied,
+    run and classified.  cell is (base RunConfig, {axis: value}).
+    Failures, a bad axis value included, become a row with verdict
+    'Failed' instead of aborting the sweep."""
+    cfg, axes = cell
+    out = {
+        name: axes.get(name, cfg.h0 if name == "h0" else getattr(cfg.model, name))
+        for name in SWEEP_AXES
+    }
     try:
-        p = ModelParams(
-            kind=cell["kind"],
-            d1=cell["d1"],
-            d2=cell["d2"],
-            a=cell["a"],
-            b=cell["b"],
-            c=cell["c"],
-            mu=cell["mu"],
-            rho=cell["rho"],
-        )
-        k = make_kernel(cell["kernel_family"], cell["kernel_radius"])
-        init = InitialData.cosine(cell["h0"], cell["amp_u"], cell["amp_v"])
-        tols = ClassifyTolerances(**cell.get("tolerances", {}))
-        horizon = cell["horizon"]
-        rc = RunControl(
-            horizon=horizon,
-            n=cell["n"],
-            dt=cell.get("dt"),
-            record_every=cell.get("record_every", 10),
-            stop_rule=make_dichotomy_stop(p, k, horizon, tols),
-        )
-        traj = run(p, init, k, rc)
-        cls = classify(traj, p, k, tols)
+        model_axes = {name: value for name, value in axes.items() if name != "h0"}
+        cfg = replace(cfg, model=replace(cfg.model, **model_axes), h0=out["h0"])
+        p, k = cfg.model, cfg.kernel
+        init = cfg.init_data()
+        stop = make_dichotomy_stop(p, k, cfg.numerics.horizon, cfg.tols)
+        traj = run(p, init, k, cfg.run_control(stop_rule=stop, snapshot_every=0))
+        cls = classify(traj, p, k, cfg.tols)
         out.update(
             verdict=cls.verdict,
             certificate=cls.certificate,
@@ -448,11 +398,16 @@ def _sweep_cell(cell: dict) -> dict:
     return out
 
 
-def sweep(plan: SweepPlan, workers: int = 1) -> PhaseTable:
-    """Classify every cell of the grid; output order is the row-major
-    grid order no matter how many workers run or in what order they
-    finish."""
-    cells = plan.cells()
+def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
+    """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
+    top of cfg.  Cells are expanded row-major in SWEEP_AXES order, and
+    the output keeps that order no matter how many workers run or in what
+    order they finish."""
+    names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
+    cells = [
+        (cfg, dict(zip(names, combo)))
+        for combo in product(*(cfg.sweep_axes[name] for name in names))
+    ]
     rows: list = [None] * len(cells)
     if workers <= 1:
         for i, cell in enumerate(cells):

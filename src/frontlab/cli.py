@@ -13,17 +13,7 @@ import argparse
 import os
 import sys
 
-from .classify import (
-    SweepPlan,
-    build_vanishing_supersolution,
-    build_vanishing_supersolution_predation,
-    check_domination,
-    classify,
-    ell_star_cached,
-    estimate_threshold,
-    make_dichotomy_stop,
-    sweep,
-)
+from .classify import classify, ell_star_cached, estimate_threshold, make_dichotomy_stop, sweep
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
@@ -36,7 +26,12 @@ from .output import (
     write_json,
     write_snapshots,
 )
-from .solver import RunControl, Trajectory, run
+from .solver import Trajectory, run
+from .supersolution import (
+    build_vanishing_supersolution,
+    build_vanishing_supersolution_predation,
+    check_domination,
+)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -60,28 +55,15 @@ def _config_echo(cfg: RunConfig) -> dict:
     return {key: cfg.resolved[key] for key in sorted(cfg.resolved)}
 
 
-def _run_control(cfg: RunConfig, stop_rule=None, snapshot_every: int | None = None) -> RunControl:
-    num = cfg.numerics
-    return RunControl(
-        horizon=num.horizon,
-        n=num.n,
-        dt=num.dt,
-        record_every=num.record_every,
-        snapshot_every=num.snapshot_every if snapshot_every is None else snapshot_every,
-        stop_rule=stop_rule,
-    )
-
-
-def _emit_trajectory(outdir: str, cfg: RunConfig, traj: Trajectory) -> list:
-    written = []
-    snapshot_records = []
-    if "csv" in cfg.formats:
-        path = os.path.join(outdir, "trajectory.csv")
-        atomic_write_text(path, trajectory_csv(traj))
-        written.append(path)
-        snapshot_records = write_snapshots(outdir, traj)
-        written.extend(os.path.join(outdir, rec["file"]) for rec in snapshot_records)
-    return written
+def _emit_trajectory(outdir: str, cfg: RunConfig, traj: Trajectory) -> tuple[list, list]:
+    """Trajectory and snapshot CSVs, when csv output is on; returns the
+    paths written and the records of the snapshot files."""
+    if "csv" not in cfg.formats:
+        return [], []
+    path = os.path.join(outdir, "trajectory.csv")
+    atomic_write_text(path, trajectory_csv(traj))
+    snapshot_records = write_snapshots(outdir, traj)
+    return [path] + [os.path.join(outdir, rec["file"]) for rec in snapshot_records], snapshot_records
 
 
 def _final_record(traj: Trajectory) -> dict:
@@ -100,18 +82,15 @@ def _final_record(traj: Trajectory) -> dict:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, _run_control(cfg))
-    written = _emit_trajectory(outdir, cfg, traj)
+    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.run_control())
+    written, snapshot_records = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:
         summary = {
             "command": "simulate",
             "termination": traj.termination,
             "samples": len(traj.t),
             "final": _final_record(traj),
-            "snapshots": [
-                {"index": i, "t": snap.t, "g": snap.g, "h": snap.h, "file": f"snapshot_{i:05d}.csv"}
-                for i, snap in enumerate(traj.snapshots)
-            ],
+            "snapshots": snapshot_records,
             "config": _config_echo(cfg),
         }
         path = os.path.join(outdir, "summary.json")
@@ -126,9 +105,9 @@ def cmd_classify(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
     stop = make_dichotomy_stop(cfg.model, cfg.kernel, cfg.numerics.horizon, cfg.tols)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, _run_control(cfg, stop_rule=stop))
+    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.run_control(stop_rule=stop))
     cls = classify(traj, cfg.model, cfg.kernel, cfg.tols)
-    written = _emit_trajectory(outdir, cfg, traj)
+    written, _ = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:
         record = {
             "command": "classify",
@@ -183,35 +162,8 @@ def cmd_sweep(args) -> int:
     outdir = _resolve_outdir(args, cfg)
     if not cfg.sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<axis> key in the config")
-    base = {
-        "kind": cfg.model.kind,
-        "d1": cfg.model.d1,
-        "d2": cfg.model.d2,
-        "a": cfg.model.a,
-        "b": cfg.model.b,
-        "c": cfg.model.c,
-        "mu": cfg.model.mu,
-        "rho": cfg.model.rho,
-        "h0": cfg.h0,
-        "amp_u": cfg.amp_u,
-        "amp_v": cfg.amp_v,
-        "kernel_family": cfg.kernel.family,
-        "kernel_radius": cfg.kernel.radius,
-        "horizon": cfg.numerics.horizon,
-        "n": cfg.numerics.n,
-        "dt": cfg.numerics.dt,
-        "record_every": cfg.numerics.record_every,
-        "tolerances": {
-            "vanish_tol": cfg.tols.vanish_tol,
-            "speed_tol": cfg.tols.speed_tol,
-            "eigen_slack": cfg.tols.eigen_slack,
-            "window_fraction": cfg.tols.window_fraction,
-            "spread_length": cfg.tols.spread_length,
-        },
-    }
-    plan = SweepPlan(base=base, axes=cfg.sweep_axes)
     workers = args.workers if args.workers is not None else cfg.sweep_workers
-    table = sweep(plan, workers=workers)
+    table = sweep(cfg, workers=workers)
     written = []
     if "csv" in cfg.formats:
         path = os.path.join(outdir, "phase_table.csv")
@@ -250,9 +202,9 @@ def cmd_supersolution_check(args) -> int:
     )
     spec = builder(p, cfg.init_data(), k, h1)
     snapshot_every = cfg.numerics.snapshot_every or cfg.numerics.record_every
-    traj = run(p, cfg.init_data(), k, _run_control(cfg, snapshot_every=snapshot_every))
+    traj = run(p, cfg.init_data(), k, cfg.run_control(snapshot_every=snapshot_every))
     report = check_domination(spec, traj)
-    written = _emit_trajectory(outdir, cfg, traj)
+    written, _ = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:
         record = {
             "command": "supersolution-check",

@@ -22,6 +22,7 @@ from .classify import SWEEP_AXES, ClassifyTolerances, ScanControl
 from .errors import ConfigError
 from .kernels import KNOWN_FAMILIES, Kernel, make_kernel
 from .model import KINDS, InitialData, ModelParams
+from .solver import RunControl
 
 
 def _parse_float(raw: str) -> float:
@@ -187,6 +188,19 @@ class RunConfig:
 
     def init_data(self) -> InitialData:
         return InitialData.cosine(self.h0, self.amp_u, self.amp_v)
+
+    def run_control(self, stop_rule=None, snapshot_every: int | None = None) -> RunControl:
+        """RunControl from the numerics section; snapshot_every, when given,
+        replaces numerics.snapshot_every."""
+        num = self.numerics
+        return RunControl(
+            horizon=num.horizon,
+            n=num.n,
+            dt=num.dt,
+            record_every=num.record_every,
+            snapshot_every=num.snapshot_every if snapshot_every is None else snapshot_every,
+            stop_rule=stop_rule,
+        )
 
 
 def parse_config(text: str) -> RunConfig:

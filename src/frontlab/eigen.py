@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RegimeError
-from .kernels import Kernel
+from .kernels import Kernel, trapezoid_weights
 
 # sup-norm tolerance on the normalized eigenvector between squarings
 _VEC_TOL = 1e-12
@@ -98,8 +98,7 @@ def _geometry_matrix(prob: EigenProblem) -> tuple[np.ndarray, np.ndarray]:
     h = prob.spacing
     idx = np.arange(prob.n, dtype=float)
     diff = np.subtract.outer(idx, idx) * h
-    w = np.full(prob.n, h)
-    w[0] = w[-1] = 0.5 * h
+    w = trapezoid_weights(prob.n, h)
     return prob.d * prob.kernel(diff) * w[np.newaxis, :], w
 
 

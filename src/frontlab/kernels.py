@@ -49,20 +49,6 @@ class Kernel:
         core = self._half_tail(np.clip(np.abs(s), 0.0, self.radius))
         return np.where(s >= 0.0, core, 1.0 - core)
 
-    def first_moment(self) -> float:
-        """Closed-form integral of s*J(s) over [0, radius].
-
-        Equals the integral of tail_mass over [0, radius]; it bounds the
-        nonlocal front flux for fields below 1.
-        """
-        r = self.radius
-        if self.family == "tent":
-            return r / 6.0
-        if self.family == "parabolic_bump":
-            return 3.0 * r / 16.0
-        edge = math.exp(-_EDGE_EXPONENT)
-        return self._gauss_norm() * (r * r / 9.0 * (1.0 - edge) - 0.5 * edge * r * r)
-
     def _half_tail(self, s):
         # tail mass for 0 <= s <= radius only
         r = self.radius
@@ -83,6 +69,14 @@ class Kernel:
         edge = math.exp(-_EDGE_EXPONENT)
         mass = math.sqrt(2.0 * math.pi) * sig * erf(r / (math.sqrt(2.0) * sig)) - 2.0 * r * edge
         return 1.0 / mass
+
+
+def trapezoid_weights(nodes: int, spacing: float) -> np.ndarray:
+    """Composite trapezoid weights for `nodes` uniform samples `spacing`
+    apart: the quadrature of every discretized nonlocal integral."""
+    w = np.full(nodes, spacing)
+    w[0] = w[-1] = 0.5 * spacing
+    return w
 
 
 def make_kernel(family: str, radius: float = 1.0) -> Kernel:

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegimeError
-from .kernels import Kernel
 
 KINDS = ("competition", "predation")
 
@@ -103,12 +102,6 @@ def field_bounds(
             sup_f2 = k2 * (1.0 - k2 + params.c * k1)
     k3 = max(1.0 / h0, math.sqrt(sup_f2 / (2.0 * params.d2)), v0_slope_max / k2)
     return Bounds(k1=k1, k2=k2, k3=k3)
-
-
-def front_speed_bound(params: ModelParams, bnds: Bounds, kernel: Kernel) -> float:
-    """Upper bound on |h'| and |g'|: mu*k2*k3 from the local flux plus
-    rho*k1 times the kernel's first moment from the nonlocal flux."""
-    return params.mu * bnds.k2 * bnds.k3 + params.rho * bnds.k1 * kernel.first_moment()
 
 
 def cosine_bump(h0: float, amp: float) -> Callable:

@@ -15,9 +15,7 @@ import math
 import os
 
 from .classify import PhaseTable
-from .solver import Snapshot, Trajectory
-
-TRAJECTORY_HEADER = "t,g,h,gdot,hdot,sup_u,sup_v,u_center,v_center"
+from .solver import TRAJECTORY_COLUMNS, Snapshot, Trajectory
 
 
 def fmt_float(x: float) -> str:
@@ -80,10 +78,8 @@ def write_json(path: str, value) -> None:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = [TRAJECTORY_HEADER]
-    cols = (traj.t, traj.g, traj.h, traj.gdot, traj.hdot,
-            traj.sup_u, traj.sup_v, traj.u_center, traj.v_center)
-    for row in zip(*cols):
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    for row in zip(*(getattr(traj, name) for name in TRAJECTORY_COLUMNS)):
         lines.append(",".join(fmt_float(val) for val in row))
     return "\n".join(lines) + "\n"
 
@@ -96,7 +92,8 @@ def snapshot_csv(snap: Snapshot) -> str:
 
 
 def write_snapshots(outdir: str, traj: Trajectory) -> list:
-    """One CSV matrix per stored snapshot; returns records for the summary."""
+    """One CSV matrix per stored snapshot; returns one record per file
+    written, the only place these file names are made."""
     records = []
     for i, snap in enumerate(traj.snapshots):
         name = f"snapshot_{i:05d}.csv"

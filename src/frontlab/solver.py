@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import SolverFailure
-from .kernels import Kernel
+from .kernels import Kernel, trapezoid_weights
 from .model import Bounds, InitialData, ModelParams, field_bounds, reaction
 
 # negatives above this floor are roundoff and are clamped to zero
@@ -41,24 +42,22 @@ _BOUND_SLACK = 1e-8
 # safety factor in the stability bound dt <= 0.4*min(...)
 _CFL = 0.4
 
+# per-sample trajectory columns, in the order they are recorded and written
+TRAJECTORY_COLUMNS = ("t", "g", "h", "gdot", "hdot", "sup_u", "sup_v", "u_center", "v_center")
 
-@dataclass(frozen=True)
-class ReferenceGrid:
-    """Uniform nodes on the reference interval [-1, 1]."""
 
-    n: int  # interval count; n+1 nodes
-
-    def __post_init__(self):
-        if self.n < 8:
-            raise ValueError(f"reference grid needs at least 8 intervals, got {self.n}")
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.n + 1)
-
-    @property
-    def dy(self) -> float:
-        return 2.0 / self.n
+@lru_cache(maxsize=None)
+def reference_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform nodes y_i on the reference interval [-1, 1] (n intervals,
+    n+1 nodes) and their trapezoid weights.  The arrays are shared by
+    every caller with the same n, so they are read-only."""
+    if n < 8:
+        raise ValueError(f"reference grid needs at least 8 intervals, got {n}")
+    y = np.linspace(-1.0, 1.0, n + 1)
+    wq = trapezoid_weights(n + 1, 2.0 / n)
+    y.flags.writeable = False
+    wq.flags.writeable = False
+    return y, wq
 
 
 @dataclass
@@ -116,7 +115,6 @@ class RunControl:
     record_every: int = 10
     snapshot_every: int = 0  # 0 disables field snapshots
     stop_rule: Optional[Callable] = None  # called at record points; returns reason or None
-    strict: bool = True  # enforce bounds and front monotonicity
 
     def __post_init__(self):
         if not (self.horizon > 0):
@@ -129,16 +127,34 @@ class RunControl:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
 
 
-def transform_coefficients(s: State, gdot: float, hdot: float) -> TransformedCoeffs:
-    """Mapped-frame coefficients: xi = (2/(h-g))^2 and the per-node
-    advection speed zeta_i = (2/(h-g)) * x_t(t, y_i)."""
-    length = s.h - s.g
+def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int) -> TransformedCoeffs:
+    """Mapped-frame coefficients on the habitat [g, h] with n reference
+    intervals: xi = (2/(h-g))^2 and the per-node advection speed
+    zeta_i = (2/(h-g)) * x_t(t, y_i)."""
+    length = h - g
     if not (length > 0):
-        raise SolverFailure(f"degenerate domain: g={s.g}, h={s.h}")
-    y = np.linspace(-1.0, 1.0, len(s.w))
+        raise SolverFailure(f"degenerate domain: g={g}, h={h}")
+    y = reference_grid(n)[0]
     x_t = 0.5 * (gdot + hdot) + y * 0.5 * (hdot - gdot)
     scale = 2.0 / length
     return TransformedCoeffs(xi=scale * scale, zeta=scale * x_t)
+
+
+def _data_bounds(p: ModelParams, s: State) -> tuple[Bounds, float]:
+    """field_bounds taking s as initial data on a habitat of half-width
+    (h-g)/2, and the cap d1 + a + b*k2 + c*k1 + 1 those bounds put on
+    the rates of the explicit terms."""
+    n = len(s.w) - 1
+    half = 0.5 * (s.h - s.g)
+    slope = float(np.max(np.abs(np.diff(s.z)))) / (2.0 / n * half)
+    bounds = field_bounds(p, half, float(s.w.max()), float(s.z.max()), slope)
+    return bounds, p.d1 + p.a + p.b * bounds.k2 + p.c * bounds.k1 + 1.0
+
+
+def _dt_cap(safety: float, dy: float, zeta: float, rate_cap: float) -> float:
+    """Stability bound safety*min(dy/zeta, 1/rate_cap) for advection
+    speed zeta and explicit rates up to rate_cap."""
+    return safety * min(dy / zeta if zeta > 0 else math.inf, 1.0 / rate_cap)
 
 
 def _front_slopes(z: np.ndarray, dy: float, length: float) -> tuple[float, float]:
@@ -159,13 +175,11 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     if np.any(~np.isfinite(s.w)) or np.any(~np.isfinite(s.z)):
         raise SolverFailure(f"non-finite field values at t={s.t}")
     n = len(s.w) - 1
-    dy = 2.0 / n
+    y, wq_ref = reference_grid(n)
     length = s.h - s.g
-    vx_left, vx_right = _front_slopes(s.z, dy, length)
-    x = 0.5 * (s.g + s.h) + np.linspace(-1.0, 1.0, n + 1) * 0.5 * length
-    wq = np.full(n + 1, dy * 0.5 * length)
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
+    vx_left, vx_right = _front_slopes(s.z, 2.0 / n, length)
+    x = 0.5 * (s.g + s.h) + y * 0.5 * length
+    wq = wq_ref * (0.5 * length)
     flux_right = math.fsum(wq * k.tail_mass(s.h - x) * s.w)
     flux_left = math.fsum(wq * k.tail_mass(x - s.g) * s.w)
     hdot = -p.mu * vx_right + p.rho * flux_right
@@ -175,48 +189,32 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
 
 class _Stepper:
     """Carries the per-run immutable pieces so the hot loop only builds
-    what the moving geometry forces it to rebuild."""
+    what the moving geometry forces it to rebuild.  The field bounds and
+    the rate cap come from s0, taken as initial data."""
 
-    def __init__(self, p: ModelParams, k: Kernel, n: int, bounds: Bounds, strict: bool = True):
+    def __init__(self, p: ModelParams, k: Kernel, s0: State):
         self.p = p
         self.k = k
-        self.grid = ReferenceGrid(n)
-        self.bounds = bounds
-        self.strict = strict
-        y = self.grid.y
-        self.y = y
-        self.dy = self.grid.dy
-        self.ydiff = np.subtract.outer(y, y)
-        wq = np.full(n + 1, self.dy)
-        wq[0] = wq[-1] = 0.5 * self.dy
-        self.wq_ref = wq  # reference-interval trapezoid weights; scale by (h-g)/2
-        self.rate_cap = p.d1 + p.a + p.b * bounds.k2 + p.c * bounds.k1 + 1.0
+        self.n = len(s0.w) - 1
+        self.y, self.wq_ref = reference_grid(self.n)  # weights scale by (h-g)/2
+        self.dy = 2.0 / self.n
+        self.ydiff = np.subtract.outer(self.y, self.y)
+        self.bounds, self.rate_cap = _data_bounds(p, s0)
 
-    def velocities(self, s: State) -> tuple[float, float]:
-        return boundary_velocities(s, self.p, self.k)
-
-    def step(self, s: State, dt: float, gdot: Optional[float] = None, hdot: Optional[float] = None) -> State:
+    def step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
+        """Advance s by dt with the start-of-step front velocities."""
         p, k = self.p, self.k
         dy = self.dy
-        if gdot is None or hdot is None:
-            gdot, hdot = self.velocities(s)
 
         g1 = s.g + dt * gdot
         h1 = s.h + dt * hdot
-        length = h1 - g1
-        if not (length > 0):
-            raise SolverFailure(f"domain collapsed at t={s.t + dt}: g={g1}, h={h1}")
-
         # coefficients on the advanced geometry, start-of-step velocities
-        scale = 2.0 / length
-        zeta = scale * (0.5 * (gdot + hdot) + self.y * 0.5 * (hdot - gdot))
-        xi = scale * scale
+        co = transform_coefficients(g1, h1, gdot, hdot, self.n)
+        zeta = co.zeta
+        length = h1 - g1
 
         zeta_max = float(np.max(np.abs(zeta)))
-        dt_cap = _CFL * min(
-            dy / zeta_max if zeta_max > 0 else math.inf,
-            1.0 / self.rate_cap,
-        )
+        dt_cap = _dt_cap(_CFL, dy, zeta_max, self.rate_cap)
         if dt > dt_cap:
             raise SolverFailure(
                 f"stability bound violated at t={s.t}: dt={dt:.3e} > {dt_cap:.3e} "
@@ -238,7 +236,7 @@ class _Stepper:
         dz = _upwind(z, zeta, dy)
         rhs = z + dt * (zeta * dz + f2)
         z1 = np.zeros_like(z)
-        alpha = dt * p.d2 * xi / (dy * dy)
+        alpha = dt * p.d2 * co.xi / (dy * dy)
         m = len(z) - 2
         ab = np.empty((3, m))
         ab[0, :] = -alpha
@@ -253,12 +251,14 @@ class _Stepper:
         _clamp_roundoff(z1, s.t + dt, "v")
 
         out = State(t=s.t + dt, g=g1, h=h1, w=w1, z=z1)
-        if self.strict:
-            self._check_invariants(s, out)
+        self._check_invariants(s, out, gdot, hdot)
         return out
 
-    def _check_invariants(self, before: State, after: State) -> None:
-        if not (after.h > before.h and after.g < before.g):
+    def _check_invariants(self, before: State, after: State, gdot: float, hdot: float) -> None:
+        # For nonnegative fields the front law gives hdot >= 0 >= gdot; the
+        # positions are compared non-strictly because dt*hdot can fall below
+        # half an ulp of h, leaving h unchanged in floating point.
+        if not (hdot >= 0.0 >= gdot and after.h >= before.h and after.g <= before.g):
             raise SolverFailure(
                 f"front monotonicity violated at t={after.t}: "
                 f"h {before.h} -> {after.h}, g {before.g} -> {after.g}"
@@ -294,23 +294,18 @@ def _clamp_roundoff(f: np.ndarray, t: float, name: str) -> None:
         np.clip(f, 0.0, None, out=f)
 
 
-def step(s: State, p: ModelParams, k: Kernel, dt: float, strict: bool = True) -> State:
+def step(s: State, p: ModelParams, k: Kernel, dt: float) -> State:
     """One IMEX Euler step (standalone form; run() uses the cached path).
 
     Bounds for the invariant check are derived from the current state,
     treating it as initial data.
     """
-    n = len(s.w) - 1
-    h0 = 0.5 * (s.h - s.g)
-    dy = 2.0 / n
-    slope = float(np.max(np.abs(np.diff(s.z)))) / (dy * 0.5 * (s.h - s.g))
-    bounds = field_bounds(p, h0, float(s.w.max()), float(s.z.max()), slope)
-    return _Stepper(p, k, n, bounds, strict=strict).step(s, dt)
+    gdot, hdot = boundary_velocities(s, p, k)
+    return _Stepper(p, k, s).step(s, dt, gdot, hdot)
 
 
 def initial_state(init: InitialData, n: int) -> State:
-    grid = ReferenceGrid(n)
-    x = grid.y * init.h0
+    x = reference_grid(n)[0] * init.h0
     w = np.asarray(init.u0(x), dtype=float)
     z = np.asarray(init.v0(x), dtype=float)
     w[0] = w[-1] = 0.0
@@ -333,64 +328,35 @@ def auto_dt(p: ModelParams, init: InitialData, k: Kernel, n: int) -> float:
     hopelessly pessimistic for small data; if speeds later outgrow the
     headroom the per-step stability check aborts the run."""
     state = initial_state(init, n)
-    dy = 2.0 / n
-    slope0 = float(np.max(np.abs(np.diff(state.z)))) / (dy * init.h0)
-    bounds = field_bounds(p, init.h0, float(state.w.max()), float(state.z.max()), slope0)
+    rate_cap = _data_bounds(p, state)[1]
     gdot, hdot = boundary_velocities(state, p, k)
     zeta0 = max(abs(gdot), abs(hdot)) / init.h0
-    return 0.9 * _CFL * min(
-        dy / (_ZETA_HEADROOM * zeta0) if zeta0 > 0 else math.inf,
-        1.0 / (p.d1 + p.a + p.b * bounds.k2 + p.c * bounds.k1 + 1.0),
-    )
+    return _dt_cap(0.9 * _CFL, 2.0 / n, _ZETA_HEADROOM * zeta0, rate_cap)
 
 
 class _Recorder:
-    """Trajectory samples accumulated during a run; handed to stop rules."""
+    """Trajectory samples accumulated during a run, one list per entry of
+    TRAJECTORY_COLUMNS; handed to stop rules."""
 
     def __init__(self):
-        self.t = []
-        self.g = []
-        self.h = []
-        self.gdot = []
-        self.hdot = []
-        self.sup_u = []
-        self.sup_v = []
-        self.u_center = []
-        self.v_center = []
+        for name in TRAJECTORY_COLUMNS:
+            setattr(self, name, [])
 
     def add(self, s: State, gdot: float, hdot: float) -> None:
-        self.t.append(s.t)
-        self.g.append(s.g)
-        self.h.append(s.h)
-        self.gdot.append(gdot)
-        self.hdot.append(hdot)
-        self.sup_u.append(float(s.w.max()))
-        self.sup_v.append(float(s.z.max()))
         # physical center x=0 pulled back to the reference frame
         y0 = -(s.g + s.h) / (s.h - s.g)
         if -1.0 <= y0 <= 1.0:
-            y = np.linspace(-1.0, 1.0, len(s.w))
-            self.u_center.append(float(np.interp(y0, y, s.w)))
-            self.v_center.append(float(np.interp(y0, y, s.z)))
+            y = reference_grid(len(s.w) - 1)[0]
+            centers = (float(np.interp(y0, y, s.w)), float(np.interp(y0, y, s.z)))
         else:
-            self.u_center.append(0.0)
-            self.v_center.append(0.0)
+            centers = (0.0, 0.0)
+        row = (s.t, s.g, s.h, gdot, hdot, float(s.w.max()), float(s.z.max())) + centers
+        for name, value in zip(TRAJECTORY_COLUMNS, row):
+            getattr(self, name).append(value)
 
     def to_trajectory(self, termination: str, n: int, snapshots: list) -> Trajectory:
-        return Trajectory(
-            t=np.asarray(self.t),
-            g=np.asarray(self.g),
-            h=np.asarray(self.h),
-            gdot=np.asarray(self.gdot),
-            hdot=np.asarray(self.hdot),
-            sup_u=np.asarray(self.sup_u),
-            sup_v=np.asarray(self.sup_v),
-            u_center=np.asarray(self.u_center),
-            v_center=np.asarray(self.v_center),
-            termination=termination,
-            n=n,
-            snapshots=snapshots,
-        )
+        columns = {name: np.asarray(getattr(self, name)) for name in TRAJECTORY_COLUMNS}
+        return Trajectory(**columns, termination=termination, n=n, snapshots=snapshots)
 
 
 def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Trajectory:
@@ -401,10 +367,7 @@ def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Traje
     recorded.
     """
     state = initial_state(init, ctrl.n)
-    dy = 2.0 / ctrl.n
-    slope0 = float(np.max(np.abs(np.diff(state.z)))) / (dy * init.h0)
-    bounds = field_bounds(p, init.h0, float(state.w.max()), float(state.z.max()), slope0)
-    stepper = _Stepper(p, k, ctrl.n, bounds, strict=ctrl.strict)
+    stepper = _Stepper(p, k, state)
 
     dt = ctrl.dt if ctrl.dt is not None else auto_dt(p, init, k, ctrl.n)
     n_steps = max(1, math.ceil(ctrl.horizon / dt))
@@ -417,20 +380,17 @@ def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Traje
         x = 0.5 * (s.g + s.h) + stepper.y * 0.5 * (s.h - s.g)
         snapshots.append(Snapshot(t=s.t, g=s.g, h=s.h, x=x, u=s.w.copy(), v=s.z.copy()))
 
-    gdot, hdot = stepper.velocities(state)
+    gdot, hdot = boundary_velocities(state, p, k)
     rec.add(state, gdot, hdot)
     if ctrl.snapshot_every > 0:
         snap(state)
 
     for istep in range(1, n_steps + 1):
         state = stepper.step(state, dt, gdot, hdot)
-        recorded = False
-        if istep % ctrl.record_every == 0 or istep == n_steps:
-            gdot, hdot = stepper.velocities(state)
+        gdot, hdot = boundary_velocities(state, p, k)
+        recorded = istep % ctrl.record_every == 0 or istep == n_steps
+        if recorded:
             rec.add(state, gdot, hdot)
-            recorded = True
-        else:
-            gdot, hdot = stepper.velocities(state)
         if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or istep == n_steps):
             snap(state)
         if recorded and ctrl.stop_rule is not None:
@@ -456,6 +416,10 @@ def fixed_domain_run(
     nonlocal).  Returns the final field and a persistence verdict:
     'persists' when the sup-norm plateaus above 1e-3, 'dies' when it
     decays below 1e-6, 'undecided' otherwise.
+
+    Reference implementation, not used by run() or the CLI: the tests use
+    it as the fixed-habitat oracle, checking that its verdict follows the
+    sign of the principal eigenvalue.
     """
     l1, l2 = interval
     if not (l2 > l1):
@@ -472,9 +436,7 @@ def fixed_domain_run(
 
     x = l1 + np.arange(n) * hx
     Jm = k(np.subtract.outer(x, x))
-    wq = np.full(n, hx)
-    wq[0] = wq[-1] = 0.5 * hx
-    Mw = Jm * wq[np.newaxis, :]
+    Mw = Jm * trapezoid_weights(n, hx)[np.newaxis, :]
 
     cap = max(theta0, float(u.max()), 0.0)
     if dt is None:

@@ -19,7 +19,6 @@ from frontlab import (
     InitialData,
     ModelParams,
     RunControl,
-    SweepPlan,
     auto_dt,
     build_vanishing_supersolution,
     check_domination,
@@ -31,6 +30,7 @@ from frontlab import (
     lambda_p_interval,
     make_dichotomy_stop,
     make_kernel,
+    parse_config,
     run,
     step,
     sweep,
@@ -327,7 +327,7 @@ def _check_stepwise_bounds():
     dt = auto_dt(p, init, TENT, n)
     good = True
     for _ in range(300):
-        s = step(s, p, TENT, dt, strict=False)
+        s = step(s, p, TENT, dt)
         good &= float(s.w.min()) >= 0.0 and float(s.z.min()) >= 0.0
         good &= float(s.w.max()) <= bnds.k1 + 1e-8 and float(s.z.max()) <= bnds.k2 + 1e-8
     return good
@@ -347,14 +347,15 @@ def _check_richardson():
 
 
 def _check_sweep_determinism():
-    base = dict(
-        kind="competition", d1=1.0, d2=1.0, a=0.5, b=0.5, c=0.5, mu=0.05, rho=0.05,
-        h0=0.25, amp_u=1e-3, amp_v=1e-3, kernel_family="tent", kernel_radius=1.0,
-        horizon=30.0, n=64, record_every=10,
+    cfg = parse_config(
+        "kernel.family = tent\nkernel.radius = 1.0\nmodel.kind = competition\n"
+        "model.d1 = 1.0\nmodel.d2 = 1.0\nmodel.a = 0.5\nmodel.b = 0.5\nmodel.c = 0.5\n"
+        "model.mu = 0.05\nmodel.rho = 0.05\ninit.h0 = 0.25\ninit.amp_u = 1e-3\n"
+        "init.amp_v = 1e-3\nnumerics.horizon = 30.0\nnumerics.n = 64\n"
+        "numerics.record_every = 10\nsweep.a = 0.45, 1.0\nsweep.mu = 1e-4, 0.5\n"
     )
-    plan = SweepPlan(base=base, axes={"a": [0.45, 1.0], "mu": [1e-4, 0.5]})
-    serial = phase_csv(sweep(plan, workers=1))
-    parallel = phase_csv(sweep(plan, workers=2))
+    serial = phase_csv(sweep(cfg, workers=1))
+    parallel = phase_csv(sweep(cfg, workers=2))
     return serial == parallel
 
 

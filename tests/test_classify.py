@@ -21,18 +21,19 @@ from frontlab import (
     UNDECIDED,
     VANISHING,
     ClassifyTolerances,
+    ConfigError,
     InconclusiveError,
     InitialData,
     ModelParams,
     RegimeError,
     RunControl,
     ScanControl,
-    SweepPlan,
     classify,
     ell_star_cached,
     estimate_threshold,
     make_dichotomy_stop,
     make_kernel,
+    parse_config,
     run,
     spreading_length_threshold,
     sweep,
@@ -236,19 +237,18 @@ def test_threshold_one_sided_scans_inconclusive():
     assert "extend the scan upward" in str(err.value)
 
 
-def _base(**kw):
-    base = dict(
-        kind="competition", d1=1.0, d2=1.0, a=0.5, b=0.5, c=0.5, mu=0.1, rho=0.1,
-        h0=0.25, amp_u=1e-3, amp_v=1e-3, kernel_family="tent", kernel_radius=1.0,
-        horizon=20.0, n=64, dt=None, record_every=10,
+def _sweep_config(axes: str, horizon: float = 20.0):
+    """The _params() model on a tent kernel, plus the given sweep.* lines."""
+    return parse_config(
+        "kernel.family = tent\nmodel.kind = competition\nmodel.d1 = 1.0\nmodel.d2 = 1.0\n"
+        "model.a = 0.5\nmodel.b = 0.5\nmodel.c = 0.5\nmodel.mu = 0.1\nmodel.rho = 0.1\n"
+        "init.h0 = 0.25\ninit.amp_u = 1e-3\ninit.amp_v = 1e-3\n"
+        f"numerics.horizon = {horizon}\nnumerics.n = 64\nnumerics.record_every = 10\n{axes}"
     )
-    base.update(kw)
-    return base
 
 
 def test_single_cell_sweep_matches_classify():
-    plan = SweepPlan(base=_base(), axes={"a": [0.5]})
-    table = sweep(plan)
+    table = sweep(_sweep_config("sweep.a = 0.5\n"))
     assert len(table.rows) == 1
     row = table.rows[0]
 
@@ -263,23 +263,21 @@ def test_single_cell_sweep_matches_classify():
 
 
 def test_sweep_row_major_order_and_columns():
-    plan = SweepPlan(base=_base(), axes={"mu": [0.1, 0.2], "a": [0.4, 0.5]})
-    table = sweep(plan)
+    table = sweep(_sweep_config("sweep.mu = 0.1, 0.2\nsweep.a = 0.4, 0.5\n"))
     assert table.columns == PHASE_COLUMNS
     combos = [(row["a"], row["mu"]) for row in table.rows]
     assert combos == [(0.4, 0.1), (0.4, 0.2), (0.5, 0.1), (0.5, 0.2)]
 
 
 def test_sweep_deterministic_across_worker_counts():
-    plan = SweepPlan(base=_base(horizon=10.0), axes={"a": [0.5, 1.0], "mu": [1e-6, 10.0]})
-    serial = phase_csv(sweep(plan, workers=1))
-    parallel = phase_csv(sweep(plan, workers=3))
+    cfg = _sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0)
+    serial = phase_csv(sweep(cfg, workers=1))
+    parallel = phase_csv(sweep(cfg, workers=3))
     assert serial == parallel  # byte-identical
 
 
 def test_sweep_a_rate_row_all_spreading():
-    plan = SweepPlan(base=_base(horizon=10.0), axes={"a": [0.5, 1.0], "mu": [1e-6, 10.0]})
-    table = sweep(plan)
+    table = sweep(_sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0))
     for row in table.rows:
         if row["a"] == 1.0:
             assert row["verdict"] == SPREADING
@@ -287,16 +285,17 @@ def test_sweep_a_rate_row_all_spreading():
 
 
 def test_sweep_records_failures_without_aborting():
-    plan = SweepPlan(base=_base(horizon=5.0), axes={"a": [0.5, -0.5]})
-    table = sweep(plan)
+    table = sweep(_sweep_config("sweep.a = 0.5, -0.5\n", horizon=5.0))
     assert len(table.rows) == 2
     good, bad = table.rows
     assert good["verdict"] in (SPREADING, VANISHING, UNDECIDED)
     assert bad["verdict"] == "Failed"
     assert bad["certificate"] == "ValueError"
+    assert bad["a"] == -0.5
     assert math.isnan(bad["final_length"])
 
 
 def test_sweep_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        SweepPlan(base=_base(), axes={"b": [0.1, 0.2]})
+    with pytest.raises(ConfigError) as err:
+        _sweep_config("sweep.b = 0.1, 0.2\n")
+    assert "unknown key 'sweep.b'" in str(err.value)

@@ -107,6 +107,17 @@ def test_formats_filter(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("formats", ["csv,json", "json"])
+def test_summary_lists_only_written_snapshots(tmp_path, formats):
+    cfg = _write(tmp_path, BASE + f"numerics.snapshot_every = 25\noutput.formats = {formats}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    listed = [rec["file"] for rec in json.loads((out / "summary.json").read_text())["snapshots"]]
+    written = sorted(path.name for path in out.glob("snapshot_*.csv"))
+    assert listed == written
+    assert len(written) == (5 if "csv" in formats else 0)
+
+
 def test_classify_command(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     out = tmp_path / "out"

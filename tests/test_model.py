@@ -12,9 +12,7 @@ from frontlab import (
     coexistence_state,
     cosine_bump,
     field_bounds,
-    front_speed_bound,
     in_weak_regime,
-    make_kernel,
     reaction,
 )
 
@@ -109,14 +107,6 @@ def test_field_bounds_predation_capacity():
     assert b.k2 == 1.0 + 0.5 * 2.0  # 1 + c*k1
     # f2 vertex (1+c*k1)/2 = 1 <= k2, so sup f2 = 1
     assert b.k3 == max(1.0, math.sqrt(1.0 / 2.0), 0.1 / b.k2)
-
-
-def test_front_speed_bound_formula():
-    p = _params()
-    k = make_kernel("tent", 1.0)
-    b = field_bounds(p, h0=1.0, u0_max=0.5, v0_max=0.5, v0_slope_max=1.0)
-    expect = p.mu * b.k2 * b.k3 + p.rho * b.k1 * k.first_moment()
-    assert front_speed_bound(p, b, k) == pytest.approx(expect, rel=1e-15)
 
 
 def test_cosine_bump_profile():

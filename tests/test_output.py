@@ -9,7 +9,6 @@ import pytest
 
 from frontlab import InitialData, ModelParams, RunControl, make_kernel, run
 from frontlab.output import (
-    TRAJECTORY_HEADER,
     atomic_write_text,
     dumps_json,
     fmt_float,
@@ -20,6 +19,7 @@ from frontlab.output import (
     write_snapshots,
 )
 from frontlab.classify import PHASE_COLUMNS, PhaseTable
+from frontlab.solver import TRAJECTORY_COLUMNS
 
 
 def test_fmt_float_round_trips_exactly():
@@ -71,7 +71,8 @@ def _tiny_trajectory():
 def test_trajectory_csv_shape_and_fidelity():
     traj = _tiny_trajectory()
     lines = trajectory_csv(traj).strip().split("\n")
-    assert lines[0] == TRAJECTORY_HEADER
+    assert lines[0] == "t,g,h,gdot,hdot,sup_u,sup_v,u_center,v_center"
+    assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
     assert len(lines) == 1 + len(traj.t)
     cells = lines[-1].split(",")
     assert float(cells[2]) == float(traj.h[-1])  # exact round-trip
