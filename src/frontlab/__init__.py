@@ -31,7 +31,7 @@ from .classify import (
     spreading_length_threshold,
     sweep,
 )
-from .config import Numerics, RunConfig, load_config, parse_config, render_config
+from .config import RunConfig, load_config, parse_config, render_config
 from .errors import (
     ConfigError,
     ConvergenceError,

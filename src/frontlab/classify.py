@@ -194,6 +194,11 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
     return rule
 
 
+_SCAN_RECORD_EVERY = 5  # record cadence of every threshold-scan run
+_SCAN_RETRIES = 2  # dt quarterings after a stability abort
+_SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is below this
+
+
 @dataclass(frozen=True)
 class ScanControl:
     """Knobs for estimate_threshold's scan over the front-budget scale."""
@@ -202,11 +207,8 @@ class ScanControl:
     s_max: float = 1e3
     points: int = 8
     max_bisect: int = 12
-    ratio_tol: float = 1.5  # stop refining once upper/lower is below this
     horizon: float = 80.0
     n: int = 120
-    record_every: int = 5
-    retries: int = 2  # dt quarterings after a stability abort
 
 
 @dataclass
@@ -229,18 +231,18 @@ def _classify_at_scale(
 ) -> str:
     p_s = replace(p, mu=scale * ray[0], rho=scale * ray[1])
     dt = auto_dt(p_s, init, k, ctrl.n)
-    for attempt in range(ctrl.retries + 1):
+    for attempt in range(_SCAN_RETRIES + 1):
         rc = RunControl(
             horizon=ctrl.horizon,
             n=ctrl.n,
             dt=dt,
-            record_every=ctrl.record_every,
+            record_every=_SCAN_RECORD_EVERY,
             stop_rule=make_dichotomy_stop(p_s, k, ctrl.horizon, tols),
         )
         try:
             traj = run(p_s, init, k, rc)
         except SolverFailure:
-            if attempt == ctrl.retries:
+            if attempt == _SCAN_RETRIES:
                 return UNDECIDED
             dt *= 0.25
             continue
@@ -318,7 +320,7 @@ def estimate_threshold(
     upper = min(ss for ss in spreading if ss > lower)
 
     for _ in range(ctrl.max_bisect):
-        if upper / lower <= ctrl.ratio_tol:
+        if upper / lower <= _SCAN_RATIO_TOL:
             break
         mid = math.sqrt(lower * upper)
         verdict = _classify_at_scale(p, init, k, mid, ray, ctrl, tols)

@@ -15,7 +15,7 @@ summary so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .classify import SWEEP_AXES, ClassifyTolerances, ScanControl
@@ -160,22 +160,13 @@ _SCHEMA = {
 
 
 @dataclass(frozen=True)
-class Numerics:
-    n: int
-    dt: Optional[float]  # None: derived from the stability bound
-    horizon: float
-    record_every: int
-    snapshot_every: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     kernel: Kernel
     model: ModelParams
     h0: float
     amp_u: float
     amp_v: float
-    numerics: Numerics
+    numerics: RunControl  # the numerics section; its stop_rule is None
     tols: ClassifyTolerances
     scan: ScanControl
     ray: tuple[float, float]
@@ -190,17 +181,11 @@ class RunConfig:
         return InitialData.cosine(self.h0, self.amp_u, self.amp_v)
 
     def run_control(self, stop_rule=None, snapshot_every: int | None = None) -> RunControl:
-        """RunControl from the numerics section; snapshot_every, when given,
-        replaces numerics.snapshot_every."""
-        num = self.numerics
-        return RunControl(
-            horizon=num.horizon,
-            n=num.n,
-            dt=num.dt,
-            record_every=num.record_every,
-            snapshot_every=num.snapshot_every if snapshot_every is None else snapshot_every,
-            stop_rule=stop_rule,
-        )
+        """The numerics section with stop_rule set; snapshot_every, when
+        given, replaces numerics.snapshot_every."""
+        if snapshot_every is None:
+            snapshot_every = self.numerics.snapshot_every
+        return replace(self.numerics, stop_rule=stop_rule, snapshot_every=snapshot_every)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -256,7 +241,7 @@ def parse_config(text: str) -> RunConfig:
         mu=resolved["model.mu"],
         rho=resolved["model.rho"],
     )
-    numerics = Numerics(
+    numerics = RunControl(
         n=resolved["numerics.n"],
         dt=resolved["numerics.dt"],
         horizon=resolved["numerics.horizon"],

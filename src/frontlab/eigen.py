@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import ConvergenceError, RegimeError
 from .kernels import Kernel, trapezoid_weights
@@ -92,14 +93,14 @@ def default_n(ell1: float, ell2: float, kernel: Kernel) -> int:
 def _geometry_matrix(prob: EigenProblem) -> tuple[np.ndarray, np.ndarray]:
     """M = d * J(x_i - x_j) * w_j and the trapezoid weights.
 
-    Node differences are built from index differences, so intervals of
-    equal length produce bit-identical matrices regardless of position.
+    J is sampled once at the n index offsets m*spacing and laid out as a
+    symmetric Toeplitz matrix, so intervals of equal length produce
+    bit-identical matrices regardless of position.
     """
     h = prob.spacing
-    idx = np.arange(prob.n, dtype=float)
-    diff = np.subtract.outer(idx, idx) * h
     w = trapezoid_weights(prob.n, h)
-    return prob.d * prob.kernel(diff) * w[np.newaxis, :], w
+    offsets = prob.kernel(np.arange(prob.n) * h)
+    return prob.d * toeplitz(offsets) * w[np.newaxis, :], w
 
 
 def lambda_p(prob: EigenProblem) -> EigenResult:

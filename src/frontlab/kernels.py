@@ -79,6 +79,16 @@ def trapezoid_weights(nodes: int, spacing: float) -> np.ndarray:
     return w
 
 
+def nonlocal_apply(k: Kernel, spacing: float, f: np.ndarray) -> np.ndarray:
+    """sum_j J((i-j)*spacing) * f_j at every node i of a uniform grid
+    `spacing` apart.  J(x_i - x_j) depends only on i - j, so the operator
+    is a banded Toeplitz convolution: J is sampled only at the offsets
+    inside its support and applied by direct convolution."""
+    m = min(len(f) - 1, math.floor(k.radius / spacing))
+    taps = k(np.arange(-m, m + 1) * spacing)
+    return np.convolve(f, taps)[m : m + len(f)]
+
+
 def make_kernel(family: str, radius: float = 1.0) -> Kernel:
     """Build a kernel from a family name and support radius."""
     if family not in KNOWN_FAMILIES:

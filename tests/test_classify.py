@@ -219,7 +219,7 @@ def test_threshold_bad_ray():
 
 def test_threshold_all_undecided_inconclusive():
     init = InitialData.cosine(h0=0.25, amp_u=1e-2, amp_v=1e-2)
-    ctrl = ScanControl(s_min=1e-8, s_max=1e-7, points=2, horizon=3.0, n=64, record_every=5)
+    ctrl = ScanControl(s_min=1e-8, s_max=1e-7, points=2, horizon=3.0, n=64)
     with pytest.raises(InconclusiveError) as err:
         estimate_threshold(_params(a=0.45), init, TENT, ctrl=ctrl)
     assert "horizon" in str(err.value)
@@ -227,11 +227,11 @@ def test_threshold_all_undecided_inconclusive():
 
 def test_threshold_one_sided_scans_inconclusive():
     init = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
-    spread_only = ScanControl(s_min=200.0, s_max=1000.0, points=2, horizon=20.0, n=64, record_every=5)
+    spread_only = ScanControl(s_min=200.0, s_max=1000.0, points=2, horizon=20.0, n=64)
     with pytest.raises(InconclusiveError) as err:
         estimate_threshold(_params(a=0.5), init, TENT, ctrl=spread_only)
     assert "extend the scan downward" in str(err.value)
-    vanish_only = ScanControl(s_min=1e-6, s_max=1e-5, points=2, horizon=40.0, n=64, record_every=5)
+    vanish_only = ScanControl(s_min=1e-6, s_max=1e-5, points=2, horizon=40.0, n=64)
     with pytest.raises(InconclusiveError) as err:
         estimate_threshold(_params(a=0.5), init, TENT, ctrl=vanish_only)
     assert "extend the scan upward" in str(err.value)

@@ -22,6 +22,7 @@ from frontlab import (
     lambda_p_interval,
     make_kernel,
 )
+from frontlab.eigen import _geometry_matrix
 
 TENT = make_kernel("tent", 1.0)
 
@@ -55,6 +56,17 @@ def test_matches_dense_eigensolver_other_kernels(family):
     res = lambda_p(EigenProblem(d=1.2, theta0=0.1, ell1=0.0, ell2=3.0, n=n, kernel=k))
     oracle = dense_lambda(1.2, 0.1, 0.0, 3.0, n, k)
     assert res.lambda_p == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_geometry_matrix_equals_index_difference_build(family):
+    # J is exactly even, so the Toeplitz build from the n offsets is the
+    # dense index-difference build bit for bit
+    prob = EigenProblem(d=1.3, theta0=0.5, ell1=-0.7, ell2=2.1, n=41, kernel=make_kernel(family, 0.9))
+    M, w = _geometry_matrix(prob)
+    idx = np.arange(prob.n, dtype=float)
+    dense = prob.d * prob.kernel(np.subtract.outer(idx, idx) * prob.spacing) * w[np.newaxis, :]
+    assert np.array_equal(M, dense)
 
 
 def test_eigenfunction_positive_normalized_small_residual():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from frontlab import KNOWN_FAMILIES, make_kernel
+from frontlab.kernels import nonlocal_apply
 
 RADII = (0.5, 1.0, 2.5)
 
@@ -87,6 +88,20 @@ def test_first_moment_matches_quadrature(family, radius):
     got, err = quad(lambda s: float(k.tail_mass(np.float64(s))), 0.0, radius, limit=200)
     assert err < 1e-12
     assert abs(got - expect) <= 1e-10
+
+
+# radius 0.9 over 17 nodes: the support spans the whole grid (offsets clamp
+# to 16), reaches 3 nodes, or leaves only the diagonal
+@pytest.mark.parametrize("spacing", [0.05, 0.25, 1.3], ids=["wider-than-grid", "few-nodes", "diagonal"])
+@pytest.mark.parametrize("family", KNOWN_FAMILIES)
+def test_nonlocal_apply_matches_dense_offset_matrix(family, spacing):
+    k = make_kernel(family, 0.9)
+    f = np.random.default_rng(20261018).uniform(0.0, 2.0, size=17)
+    x = np.arange(17) * spacing
+    dense = k(np.subtract.outer(x, x)) @ f
+    got = nonlocal_apply(k, spacing, f)
+    assert got.shape == f.shape
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(f))
 
 
 def test_unknown_family_lists_choices():
