@@ -171,7 +171,8 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     """Front law: h' = -mu*v_x(h) + rho*int tail(h-x)*u dx, and the
     mirrored expression at g.  The inner dispersal integral is collapsed
     into the kernel's closed-form tail mass; the outer integral is
-    trapezoid on the mapped nodes.  Sums use fsum so mirror-symmetric
+    trapezoid over the m nodes within a radius (plus one) of the front, as
+    tail(s) is exactly 0 for s >= radius.  Sums use fsum so mirror-symmetric
     states give gdot = -hdot exactly."""
     if np.any(~np.isfinite(s.w)) or np.any(~np.isfinite(s.z)):
         raise SolverFailure(f"non-finite field values at t={s.t}")
@@ -179,10 +180,11 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     y, wq_ref = reference_grid(n)
     length = s.h - s.g
     vx_left, vx_right = _front_slopes(s.z, 2.0 / n, length)
+    m = int(min(n + 1.0, k.radius * n / length + 2.0))
     x = 0.5 * (s.g + s.h) + y * 0.5 * length
     wq = wq_ref * (0.5 * length)
-    flux_right = math.fsum(wq * k.tail_mass(s.h - x) * s.w)
-    flux_left = math.fsum(wq * k.tail_mass(x - s.g) * s.w)
+    flux_right = math.fsum(wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:])
+    flux_left = math.fsum(wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m])
     hdot = -p.mu * vx_right + p.rho * flux_right
     gdot = -p.mu * vx_left - p.rho * flux_left
     return gdot, hdot

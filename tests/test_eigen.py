@@ -1,9 +1,11 @@
-"""Principal eigenvalue: squaring-based power iteration vs a dense solver.
+"""Principal eigenvalue: banded shift-invert iteration vs two dense oracles.
 
-The oracle route symmetrizes the collocation matrix with sqrt-weights
+The first oracle symmetrizes the collocation matrix with sqrt-weights
 (D^{1/2} J D^{1/2} is similar to J W) and takes the top eigenvalue from
-scipy's dense symmetric eigensolver.  The two routes share only the
-matrix definition, not the eigenvalue algorithm.
+scipy's dense symmetric eigensolver.  The second is the dense repeated
+squaring path the package used before the banded solver, kept here to
+check the eigenfunction as well.  Each shares only the matrix
+definition with the package, not the eigenvalue algorithm.
 """
 
 import math
@@ -22,7 +24,8 @@ from frontlab import (
     lambda_p_interval,
     make_kernel,
 )
-from frontlab.eigen import _geometry_matrix
+from frontlab import eigen
+from frontlab.eigen import _shifted_band
 
 TENT = make_kernel("tent", 1.0)
 
@@ -36,6 +39,33 @@ def dense_lambda(d, theta0, ell1, ell2, n, kernel):
     S = d * rt[:, None] * kernel(np.subtract.outer(x, x)) * rt[None, :]
     nu = scipy.linalg.eigh(S, eigvals_only=True)[-1]
     return nu + theta0 - d
+
+
+def squaring_eigenpair(prob):
+    """Perron pair of the dense collocation matrix M = d*J(x_i - x_j)*w_j by
+    repeated squaring with max-entry normalization: squaring k times
+    applies the 2^k-th power.  Returns lambda_p and the sup-normalized
+    eigenfunction."""
+    idx = np.arange(prob.n, dtype=float)
+    w = np.full(prob.n, prob.spacing)
+    w[0] = w[-1] = 0.5 * prob.spacing
+    M = prob.d * prob.kernel(np.subtract.outer(idx, idx) * prob.spacing) * w[np.newaxis, :]
+    P = M / M.max()
+    v_prev = P.sum(axis=1)
+    v_prev /= v_prev.max()
+    for _ in range(64):
+        P = P @ P
+        P /= P.max()
+        v = P.sum(axis=1)
+        v /= v.max()
+        if np.max(np.abs(v - v_prev)) <= 1e-12:
+            break
+        v_prev = v
+    else:
+        raise AssertionError("squaring oracle did not converge")
+    Mv = M @ v
+    nu = np.dot(v * w, Mv) / np.dot(v * w, v)
+    return nu + prob.theta0 - prob.d, v
 
 
 @pytest.mark.parametrize(
@@ -60,13 +90,74 @@ def test_matches_dense_eigensolver_other_kernels(family):
 
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
 def test_geometry_matrix_equals_index_difference_build(family):
-    # J is exactly even, so the Toeplitz build from the n offsets is the
-    # dense index-difference build bit for bit
+    # the band storage of sigma*I - S is the band of the dense symmetrized
+    # index-difference build, and that band holds every nonzero of S
     prob = EigenProblem(d=1.3, theta0=0.5, ell1=-0.7, ell2=2.1, n=41, kernel=make_kernel(family, 0.9))
-    M, w = _geometry_matrix(prob)
     idx = np.arange(prob.n, dtype=float)
-    dense = prob.d * prob.kernel(np.subtract.outer(idx, idx) * prob.spacing) * w[np.newaxis, :]
-    assert np.array_equal(M, dense)
+    w = np.full(prob.n, prob.spacing)
+    w[0] = w[-1] = 0.5 * prob.spacing
+    sqrt_w = np.sqrt(w)
+    J = prob.kernel(np.subtract.outer(idx, idx) * prob.spacing)
+    S = prob.d * J * sqrt_w[:, None] * sqrt_w[None, :]
+    # the shift: the largest row sum of M = d*J*W, strictly above the top eigenvalue
+    sigma = (prob.d * J @ w).max()
+    assert sigma > scipy.linalg.eigh(S, eigvals_only=True)[-1]
+    ab = _shifted_band(prob, sqrt_w, sigma)
+    shifted = sigma * np.eye(prob.n) - S
+    b = ab.shape[0] - 1
+    assert b == math.floor(prob.kernel.radius / prob.spacing) < prob.n - 1
+    expected = np.zeros_like(ab)
+    for m in range(b + 1):
+        expected[b - m, m:] = np.diagonal(shifted, m)
+    assert np.array_equal(ab, expected)
+    assert not np.any(np.triu(S, b + 1))
+
+
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_matches_squaring_oracle_on_long_interval(family):
+    k = make_kernel(family, 1.0)
+    prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=200.0, n=default_n(0.0, 200.0, k), kernel=k)
+    res = lambda_p(prob)
+    lam, phi = squaring_eigenpair(prob)
+    assert abs(res.lambda_p - lam) <= 1e-13
+    assert np.max(np.abs(res.eigenfunction - phi)) <= 1e-11
+
+
+def test_interval_too_long_for_a_dense_matrix():
+    # n = 16001: a dense n x n matrix would need about 2 GB
+    d, theta0 = 1.0, 0.5
+    res = lambda_p_interval(d, theta0, 0.0, 2000.0, TENT)
+    n = len(res.eigenfunction)
+    assert n == 16001
+    spacing = 2000.0 / (n - 1)
+    assert np.all(res.eigenfunction > 0.0)
+    assert res.residual <= 1e-12
+    assert theta0 - d < res.lambda_p <= theta0 + d * (spacing / TENT.radius) ** 2
+    assert res.lambda_p > lambda_p_interval(d, theta0, 0.0, 200.0, TENT).lambda_p
+
+
+def test_solve_count_does_not_grow_with_length():
+    # both spectral gaps under the shift scale as 1/length^2, so the
+    # convergence factor per solve, and the solve count, stay fixed
+    counts = [lambda_p_interval(1.0, 0.5, 0.0, ell, TENT).iterations for ell in (2.0, 20.0, 200.0, 2000.0)]
+    assert all(1 <= c <= 40 for c in counts), counts
+
+
+def test_failures_raise_convergence_error(monkeypatch):
+    prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=20.0, n=161, kernel=TENT)
+    # one solve from phi = 1 is far from the eigenvector
+    monkeypatch.setattr(eigen, "_MAX_SOLVES", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 "):
+        lambda_p(prob)
+    monkeypatch.undo()
+
+    # unshifted, the banded matrix is -S, which has no Cholesky factor
+    def unshifted(p, sqrt_w, sigma):
+        return _shifted_band(p, sqrt_w, 0.0)
+
+    monkeypatch.setattr(eigen, "_shifted_band", unshifted)
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        lambda_p(prob)
 
 
 def test_eigenfunction_positive_normalized_small_residual():
