@@ -18,6 +18,7 @@ fired:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -180,7 +181,8 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
             return "spreading-length"
         t_now = rec.t[-1]
         if t_now >= 2.0 * window:
-            tail = [i for i, t in enumerate(rec.t) if t >= t_now - window]
+            # rec.t increases, so the window is a suffix of the record
+            tail = range(bisect_left(rec.t, t_now - window), len(rec.t))
             if len(tail) >= 3 and all(
                 rec.sup_u[i] < tols.vanish_tol
                 and rec.sup_v[i] < tols.vanish_tol

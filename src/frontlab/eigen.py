@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .errors import ConvergenceError, RegimeError
 from .kernels import Kernel, nonlocal_apply, trapezoid_weights
@@ -115,9 +115,13 @@ def lambda_p(prob: EigenProblem) -> EigenResult:
     except LinAlgError as exc:
         raise ConvergenceError(f"shifted eigenproblem not positive definite: {exc}") from exc
 
+    # the LAPACK routine behind cho_solve_banded, without its per-call wrapper
+    pbtrs = get_lapack_funcs(("pbtrs",), (factor,))[0]
     v_prev = sqrt_w / sqrt_w.max()  # phi = 1, symmetrized
     for solves in range(1, _MAX_SOLVES + 1):
-        v = cho_solve_banded((factor, False), v_prev)
+        v, info = pbtrs(factor, v_prev)
+        if info != 0:
+            raise ConvergenceError(f"banded Cholesky solve failed (LAPACK pbtrs info={info})")
         vmax = v.max()
         if not (math.isfinite(vmax) and vmax > 0):
             raise ConvergenceError("inverse iterate degenerated (overflow or zero vector)")

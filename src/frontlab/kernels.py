@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -41,7 +42,7 @@ class Kernel:
             return 0.75 / r * np.clip(1.0 - (s / r) ** 2, 0.0, None)
         # truncated_gaussian: edge value subtracted, then renormalized
         raw = np.exp(-_EDGE_EXPONENT * (s / r) ** 2) - math.exp(-_EDGE_EXPONENT)
-        return self._gauss_norm() * np.clip(raw, 0.0, None)
+        return self._gauss_norm * np.clip(raw, 0.0, None)
 
     def tail_mass(self, s):
         """Closed-form integral of J over [s, infinity), any real s (vectorized)."""
@@ -61,9 +62,12 @@ class Kernel:
         gauss_part = math.sqrt(math.pi / 2.0) * sig * (
             erf(r / (math.sqrt(2.0) * sig)) - erf(s / (math.sqrt(2.0) * sig))
         )
-        return self._gauss_norm() * (gauss_part - (r - s) * edge)
+        return self._gauss_norm * (gauss_part - (r - s) * edge)
 
+    @cached_property
     def _gauss_norm(self) -> float:
+        # truncated_gaussian's 1/mass, computed on first use; the cache lives
+        # in the instance __dict__, outside the fields that eq and hash read
         r = self.radius
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)

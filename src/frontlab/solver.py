@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import SolverFailure
 from .kernels import Kernel, nonlocal_apply, trapezoid_weights
@@ -42,6 +42,9 @@ _NEG_FLOOR = -1e-13
 _BOUND_SLACK = 1e-8
 # safety factor in the stability bound dt <= 0.4*min(...)
 _CFL = 0.4
+
+# LAPACK's tridiagonal solver, fetched once for every v-solve
+_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
 # per-sample trajectory columns, in the order they are recorded and written
 TRAJECTORY_COLUMNS = ("t", "g", "h", "gdot", "hdot", "sup_u", "sup_v", "u_center", "v_center")
@@ -158,6 +161,21 @@ def _dt_cap(safety: float, dy: float, zeta: float, rate_cap: float) -> float:
     return safety * min(dy / zeta if zeta > 0 else math.inf, 1.0 / rate_cap)
 
 
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve_banded for a tridiagonal system, (l, u) = (1, 1):
+    the same gtsv call on the same diagonals, so the same bits, without
+    the wrapper's per-call validation, which costs several times the solve
+    at the step's sizes.  Raises LinAlgError on an exactly singular pivot."""
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only tridiagonal systems, (l, u) = (1, 1), are supported; got {l_and_u}")
+    x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
 def _front_slopes(z: np.ndarray, dy: float, length: float) -> tuple[float, float]:
     """One-sided second-order v_x at the left and right fronts (physical x)."""
     scale = 2.0 / length
@@ -229,12 +247,13 @@ class _Stepper:
         # nonlocal operator on the mapped physical nodes, (h-g)/n apart
         Ku = nonlocal_apply(k, length / self.n, self.wq_ref * (0.5 * length) * w)
 
-        dw = _upwind(w, zeta, dy)
+        upwind_right = zeta[1:-1] > 0.0
+        dw = _upwind(w, upwind_right, dy)
         w1 = w + dt * (zeta * dw + p.d1 * (Ku - w) + f1)
         w1[0] = 0.0
         w1[-1] = 0.0
 
-        dz = _upwind(z, zeta, dy)
+        dz = _upwind(z, upwind_right, dy)
         rhs = z + dt * (zeta * dz + f2)
         z1 = np.zeros_like(z)
         alpha = dt * p.d2 * co.xi / (dy * dy)
@@ -245,7 +264,7 @@ class _Stepper:
         ab[2, :] = -alpha
         try:
             z1[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        except LinAlgError as exc:
             raise SolverFailure(f"tridiagonal solve failed at t={s.t}: {exc}") from exc
 
         _clamp_roundoff(w1, s.t + dt, "u")
@@ -266,21 +285,23 @@ class _Stepper:
             )
         wmax = float(after.w.max())
         zmax = float(after.z.max())
+        # a NaN anywhere makes the max NaN; an inf makes it inf
+        if not (math.isfinite(wmax) and math.isfinite(zmax)):
+            raise SolverFailure(f"non-finite field values at t={after.t}")
         if not (wmax <= self.bounds.k1 * (1.0 + _BOUND_SLACK)):
             raise SolverFailure(f"u bound breached at t={after.t}: max u={wmax} > k1={self.bounds.k1}")
         if not (zmax <= self.bounds.k2 * (1.0 + _BOUND_SLACK)):
             raise SolverFailure(f"v bound breached at t={after.t}: max v={zmax} > k2={self.bounds.k2}")
-        if np.any(~np.isfinite(after.w)) or np.any(~np.isfinite(after.z)):
-            raise SolverFailure(f"non-finite field values at t={after.t}")
 
 
-def _upwind(f: np.ndarray, zeta: np.ndarray, dy: float) -> np.ndarray:
+def _upwind(f: np.ndarray, upwind_right: np.ndarray, dy: float) -> np.ndarray:
     """First-order upwind derivative for the term f_t = zeta*f_y + ...;
-    positive zeta pulls the value from the right neighbor."""
+    upwind_right = zeta[1:-1] > 0 marks the interior nodes that pull the
+    value from the right neighbor."""
     d = np.zeros_like(f)
     fwd = (f[2:] - f[1:-1]) / dy
     bwd = (f[1:-1] - f[:-2]) / dy
-    d[1:-1] = np.where(zeta[1:-1] > 0.0, fwd, bwd)
+    d[1:-1] = np.where(upwind_right, fwd, bwd)
     return d
 
 

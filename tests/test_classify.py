@@ -299,3 +299,54 @@ def test_sweep_rejects_unknown_axis():
     with pytest.raises(ConfigError) as err:
         _sweep_config("sweep.b = 0.1, 0.2\n")
     assert "unknown key 'sweep.b'" in str(err.value)
+
+
+def _scan_rule(horizon, tols):
+    """The stop rule with its trailing window found by a full scan of rec.t:
+    the oracle for make_dichotomy_stop's bisection."""
+    threshold = tols.spread_length
+    window = tols.window_fraction * horizon
+
+    def rule(rec):
+        if rec.h[-1] - rec.g[-1] > threshold:
+            return "spreading-length"
+        t_now = rec.t[-1]
+        if t_now >= 2.0 * window:
+            tail = [i for i, t in enumerate(rec.t) if t >= t_now - window]
+            if len(tail) >= 3 and all(
+                rec.sup_u[i] < tols.vanish_tol
+                and rec.sup_v[i] < tols.vanish_tol
+                and abs(rec.gdot[i]) < tols.speed_tol
+                and abs(rec.hdot[i]) < tols.speed_tol
+                for i in tail
+            ):
+                return "vanishing-plateau"
+        return None
+
+    return rule
+
+
+def test_stop_rule_window_by_bisection_matches_scan():
+    p = _params(a=0.5)
+    tols = ClassifyTolerances(spread_length=5.0)
+    horizon = 60.0
+    rule = make_dichotomy_stop(p, TENT, horizon, tols)
+    oracle = _scan_rule(horizon, tols)
+    # record times 0.05 apart, so the window edge t_now - 6 often lands on a
+    # record; sup norms decay through vanish_tol, with bursts at t = 38, 47
+    # that break the plateau for one window each
+    t = np.round(np.arange(1200) * 0.05, 10)
+    sup = 0.5 * np.exp(-t / 4.0)
+    sup[(t == 38.0) | (t == 47.0)] = 0.01
+    speed = np.where(t < 30.0, 1e-2, 1e-5)
+    rec = SimpleNamespace(t=[], g=[], h=[], gdot=[], hdot=[], sup_u=[], sup_v=[])
+    reasons = []
+    for i in range(len(t)):
+        for name, value in (("t", t[i]), ("g", -1.0), ("h", 1.0 + 3.5 * (t[i] > 58.0)),
+                            ("gdot", -speed[i]), ("hdot", speed[i]),
+                            ("sup_u", sup[i]), ("sup_v", 0.5 * sup[i])):
+            getattr(rec, name).append(float(value))
+        got = rule(rec)
+        assert got == oracle(rec), (i, t[i])
+        reasons.append(got)
+    assert {None, "vanishing-plateau", "spreading-length"} <= set(reasons)

@@ -267,3 +267,16 @@ def test_critical_length_regime_errors():
     with pytest.raises(RegimeError):
         # crossing would sit beyond the allowed search window
         critical_length(1.0, 1e-9, TENT, ell_max=3.0)
+
+
+def test_failed_banded_solve_raises_convergence_error(monkeypatch):
+    prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=20.0, n=161, kernel=TENT)
+    real = eigen.get_lapack_funcs
+
+    def failing(names, arrays):
+        (pbtrs,) = real(names, arrays)
+        return [lambda ab, b: (pbtrs(ab, b)[0], 3)]
+
+    monkeypatch.setattr(eigen, "get_lapack_funcs", failing)
+    with pytest.raises(ConvergenceError, match="info=3"):
+        lambda_p(prob)

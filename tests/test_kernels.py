@@ -1,8 +1,12 @@
 """Kernel invariants checked against adaptive quadrature oracles."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from frontlab import KNOWN_FAMILIES, make_kernel
 from frontlab.kernels import nonlocal_apply
@@ -115,3 +119,18 @@ def test_unknown_family_lists_choices():
 def test_bad_radius_rejected(bad):
     with pytest.raises(ValueError):
         make_kernel("tent", bad)
+
+
+def test_gauss_norm_cached_closed_form_and_pickles():
+    # mass of exp(-s^2 / (2 sigma^2)) - exp(-4.5) over [-R, R], sigma = R/3
+    k = make_kernel("truncated_gaussian", 2.0)
+    mass = math.sqrt(2.0 * math.pi) * (2.0 / 3.0) * erf(3.0 / math.sqrt(2.0)) - 2.0 * 2.0 * math.exp(-4.5)
+    assert k._gauss_norm == pytest.approx(1.0 / mass, rel=1e-14)
+    assert "_gauss_norm" in vars(k)  # cached on the instance
+    s = np.linspace(-2.5, 2.5, 41)
+    before, tail_before = k(s), k.tail_mass(s)
+    k2 = pickle.loads(pickle.dumps(k))  # pickled after first use, cache included
+    assert k2 == k and hash(k2) == hash(k)
+    assert np.array_equal(k2(s), before) and np.array_equal(k2.tail_mass(s), tail_before)
+    fresh = make_kernel("truncated_gaussian", 2.0)
+    assert np.array_equal(fresh(s), before)

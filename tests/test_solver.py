@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from frontlab import (
@@ -28,6 +29,7 @@ from frontlab import (
     step,
     transform_coefficients,
 )
+from frontlab import solver
 from frontlab.solver import State, reference_grid
 
 TENT = make_kernel("tent", 1.0)
@@ -333,3 +335,45 @@ def test_fixed_domain_validation():
         fixed_domain_run(1.0, 0.5, (0.0, 4.0), np.full(5, 0.1), TENT, 1.0)
     with pytest.raises(ValueError):
         fixed_domain_run(1.0, 0.5, (0.0, 4.0), x * 0 - 1.0, TENT, 1.0)
+
+
+@pytest.mark.parametrize("m", [7, 119, 199])
+def test_solve_banded_matches_scipy_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    ab = rng.uniform(-1.0, 1.0, (3, m))
+    ab[1] = np.abs(ab[0]) + np.abs(ab[2]) + rng.uniform(0.1, 1.0, m)  # diagonally dominant
+    b = rng.standard_normal(m)
+    ab_in, b_in = ab.copy(), b.copy()
+    x = solver.solve_banded((1, 1), ab, b)
+    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+    assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)  # inputs untouched
+
+
+def test_singular_tridiagonal_raises_and_step_reports_solver_failure(monkeypatch):
+    with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
+        solver.solve_banded((1, 1), np.zeros((3, 5)), np.ones(5))
+    with pytest.raises(ValueError, match="tridiagonal"):
+        solver.solve_banded((2, 1), np.ones((4, 5)), np.ones(5))
+
+    real = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded", lambda lu, ab, b: real(lu, np.zeros_like(ab), b))
+    s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2), 64)
+    with pytest.raises(SolverFailure, match="tridiagonal solve failed"):
+        step(s, _params(), TENT, dt=0.01)
+
+
+def test_non_finite_after_state_is_reported_as_non_finite(monkeypatch):
+    s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2), 64)
+    monkeypatch.setattr(solver, "solve_banded", lambda lu, ab, b: np.full_like(b, np.nan))
+    with pytest.raises(SolverFailure, match="non-finite field values"):
+        step(s, _params(), TENT, dt=0.01)
+    monkeypatch.undo()
+
+    stepper = solver._Stepper(_params(), TENT, s)
+    after = State(t=0.01, g=s.g, h=s.h, w=s.w.copy(), z=s.z.copy())
+    after.w[5] = np.nan
+    with pytest.raises(SolverFailure, match="non-finite field values"):
+        stepper._check_invariants(s, after, 0.0, 0.0)
+    after.w[5] = np.inf
+    with pytest.raises(SolverFailure, match="non-finite field values"):
+        stepper._check_invariants(s, after, 0.0, 0.0)
