@@ -67,7 +67,6 @@ from .solver import (
     State,
     Trajectory,
     TransformedCoeffs,
-    auto_dt,
     boundary_velocities,
     fixed_domain_run,
     initial_state,

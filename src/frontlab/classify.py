@@ -31,7 +31,8 @@ from .eigen import CriticalLengthResult, critical_length, lambda_p_interval
 from .errors import InconclusiveError, RegimeError, SolverFailure
 from .kernels import Kernel, make_kernel
 from .model import InitialData, ModelParams
-from .solver import RunControl, Trajectory, auto_dt, run
+# auto_dt is unused here but stays imported: bench/tracer.py SITES wrap frontlab.classify.auto_dt
+from .solver import RunControl, Trajectory, auto_dt, run  # noqa: F401
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -197,7 +198,6 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
 
 
 _SCAN_RECORD_EVERY = 5  # record cadence of every threshold-scan run
-_SCAN_RETRIES = 2  # dt quarterings after a stability abort
 _SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is below this
 
 
@@ -232,24 +232,13 @@ def _classify_at_scale(
     tols: ClassifyTolerances,
 ) -> str:
     p_s = replace(p, mu=scale * ray[0], rho=scale * ray[1])
-    dt = auto_dt(p_s, init, k, ctrl.n)
-    for attempt in range(_SCAN_RETRIES + 1):
-        rc = RunControl(
-            horizon=ctrl.horizon,
-            n=ctrl.n,
-            dt=dt,
-            record_every=_SCAN_RECORD_EVERY,
-            stop_rule=make_dichotomy_stop(p_s, k, ctrl.horizon, tols),
-        )
-        try:
-            traj = run(p_s, init, k, rc)
-        except SolverFailure:
-            if attempt == _SCAN_RETRIES:
-                return UNDECIDED
-            dt *= 0.25
-            continue
-        return classify(traj, p_s, k, tols).verdict
-    return UNDECIDED
+    stop = make_dichotomy_stop(p_s, k, ctrl.horizon, tols)
+    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY, stop_rule=stop)
+    try:
+        traj = run(p_s, init, k, rc)
+    except SolverFailure:
+        return UNDECIDED
+    return classify(traj, p_s, k, tols).verdict
 
 
 def estimate_threshold(

@@ -115,7 +115,7 @@ class Trajectory:
 class RunControl:
     horizon: float
     n: int = 200
-    dt: Optional[float] = None  # None: derived from the stability bound
+    dt: Optional[float] = None  # None: auto_dt chooses each step from the state
     record_every: int = 10
     snapshot_every: int = 0  # 0 disables field snapshots
     stop_rule: Optional[Callable] = None  # called at record points; returns reason or None
@@ -192,8 +192,6 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     trapezoid over the m nodes within a radius (plus one) of the front, as
     tail(s) is exactly 0 for s >= radius.  Sums use fsum so mirror-symmetric
     states give gdot = -hdot exactly."""
-    if np.any(~np.isfinite(s.w)) or np.any(~np.isfinite(s.z)):
-        raise SolverFailure(f"non-finite field values at t={s.t}")
     n = len(s.w) - 1
     y, wq_ref = reference_grid(n)
     length = s.h - s.g
@@ -201,8 +199,9 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     m = int(min(n + 1.0, k.radius * n / length + 2.0))
     x = 0.5 * (s.g + s.h) + y * 0.5 * length
     wq = wq_ref * (0.5 * length)
-    flux_right = math.fsum(wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:])
-    flux_left = math.fsum(wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m])
+    # fsum of a list: the same doubles, so the same sum, at half the cost
+    flux_right = math.fsum((wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:]).tolist())
+    flux_left = math.fsum((wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m]).tolist())
     hdot = -p.mu * vx_right + p.rho * flux_right
     gdot = -p.mu * vx_left - p.rho * flux_left
     return gdot, hdot
@@ -332,28 +331,32 @@ def initial_state(init: InitialData, n: int) -> State:
     z = np.asarray(init.v0(x), dtype=float)
     w[0] = w[-1] = 0.0
     z[0] = z[-1] = 0.0
-    if w.min() < 0 or z.min() < 0:
-        raise ValueError("initial profiles must be nonnegative")
+    # NaN fails both tests; each step checks its own output for non-finite values
+    if not (np.isfinite(w).all() and np.isfinite(z).all() and w.min() >= 0 and z.min() >= 0):
+        raise ValueError("initial profiles must be finite and nonnegative")
     return State(t=0.0, g=-init.h0, h=init.h0, w=w, z=z)
 
 
-# advection headroom in auto_dt: front speeds may transiently exceed their
-# initial values by this factor before the per-step stability check trips
-_ZETA_HEADROOM = 4.0
+# dt = auto: the front speeds may change by at most this fraction of their
+# size in one step, and the first step takes this fraction of the stability bound
+_SPEED_CHANGE = 0.1
 
 
-def auto_dt(p: ModelParams, init: InitialData, k: Kernel, n: int) -> float:
-    """Step size from the stability bound at the initial state.
-
-    The advection part uses the actual initial front velocities with a
-    headroom factor rather than the worst-case speed bound, which is
-    hopelessly pessimistic for small data; if speeds later outgrow the
-    headroom the per-step stability check aborts the run."""
-    state = initial_state(init, n)
-    rate_cap = _data_bounds(p, state)[1]
-    gdot, hdot = boundary_velocities(state, p, k)
-    zeta0 = max(abs(gdot), abs(hdot)) / init.h0
-    return _dt_cap(0.9 * _CFL, 2.0 / n, _ZETA_HEADROOM * zeta0, rate_cap)
+def auto_dt(s: State, gdot: float, hdot: float, rate_cap: float, prev: Optional[tuple]) -> float:
+    """Step size for numerics.dt = auto, from the state: 0.9 of the _dt_cap
+    bound at the current advection speed, and at most the dt over which the
+    front speeds, changing as over the previous step prev = (gdot, hdot, dt),
+    change by _SPEED_CHANGE of the larger speed.  The step checks stability
+    on the longer advanced habitat, where the advection speed is no larger."""
+    speed = max(abs(gdot), abs(hdot))
+    dt = _dt_cap(0.9 * _CFL, 2.0 / (len(s.w) - 1), 2.0 / (s.h - s.g) * speed, rate_cap)
+    if prev is None:
+        return _SPEED_CHANGE * dt
+    gdot0, hdot0, dt0 = prev
+    change = max(abs(gdot - gdot0), abs(hdot - hdot0))
+    if change > 0.0:
+        dt = min(dt, _SPEED_CHANGE * max(speed, abs(gdot0), abs(hdot0)) * dt0 / change)
+    return dt
 
 
 class _Recorder:
@@ -384,15 +387,14 @@ class _Recorder:
 def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Trajectory:
     """Integrate until the horizon or until the stop rule fires.
 
-    Deterministic given inputs: fixed dt, fixed recording cadence, no
-    adaptivity.  The initial sample and the final state are always
-    recorded.
+    An explicit ctrl.dt takes ceil(horizon/dt) steps of that dt; with
+    ctrl.dt None, auto_dt chooses each dt from the state and the last step
+    ends on the horizon exactly.  record_every counts steps.  Deterministic
+    given inputs; the initial sample and the final state are always recorded.
     """
     state = initial_state(init, ctrl.n)
     stepper = _Stepper(p, k, state)
-
-    dt = ctrl.dt if ctrl.dt is not None else auto_dt(p, init, k, ctrl.n)
-    n_steps = max(1, math.ceil(ctrl.horizon / dt))
+    n_steps = None if ctrl.dt is None else max(1, math.ceil(ctrl.horizon / ctrl.dt))
 
     rec = _Recorder()
     snapshots: list[Snapshot] = []
@@ -407,13 +409,23 @@ def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Traje
     if ctrl.snapshot_every > 0:
         snap(state)
 
-    for istep in range(1, n_steps + 1):
+    istep, last, prev = 0, False, None
+    while not last:
+        istep += 1
+        if n_steps is None:
+            dt = min(auto_dt(state, gdot, hdot, stepper.rate_cap, prev), ctrl.horizon - state.t)
+            last = dt == ctrl.horizon - state.t
+            prev = (gdot, hdot, dt)
+        else:
+            dt, last = ctrl.dt, istep == n_steps
         state = stepper.step(state, dt, gdot, hdot)
+        if last and n_steps is None:
+            state.t = ctrl.horizon  # t + (horizon - t) can round off the horizon
         gdot, hdot = boundary_velocities(state, p, k)
-        recorded = istep % ctrl.record_every == 0 or istep == n_steps
+        recorded = istep % ctrl.record_every == 0 or last
         if recorded:
             rec.add(state, gdot, hdot)
-        if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or istep == n_steps):
+        if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or last):
             snap(state)
         if recorded and ctrl.stop_rule is not None:
             reason = ctrl.stop_rule(rec)

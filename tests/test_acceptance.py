@@ -19,7 +19,6 @@ from frontlab import (
     InitialData,
     ModelParams,
     RunControl,
-    auto_dt,
     build_vanishing_supersolution,
     check_domination,
     classify,
@@ -32,7 +31,6 @@ from frontlab import (
     make_kernel,
     parse_config,
     run,
-    step,
     sweep,
 )
 from frontlab.output import phase_csv
@@ -324,12 +322,12 @@ def _check_stepwise_bounds():
     dy = 2.0 / n
     slope0 = float(np.max(np.abs(np.diff(s.z)))) / (dy * init.h0)
     bnds = field_bounds(p, init.h0, 0.3, 0.4, slope0)
-    dt = auto_dt(p, init, TENT, n)
-    good = True
-    for _ in range(300):
-        s = step(s, p, TENT, dt)
-        good &= float(s.w.min()) >= 0.0 and float(s.z.min()) >= 0.0
-        good &= float(s.w.max()) <= bnds.k1 + 1e-8 and float(s.z.max()) <= bnds.k2 + 1e-8
+    # every step of a dt = auto run
+    traj = run(p, init, TENT, RunControl(horizon=6.5, n=n, record_every=1, snapshot_every=1))
+    good = traj.termination == "horizon"
+    for s in traj.snapshots:
+        good &= float(s.u.min()) >= 0.0 and float(s.v.min()) >= 0.0
+        good &= float(s.u.max()) <= bnds.k1 + 1e-8 and float(s.v.max()) <= bnds.k2 + 1e-8
     return good
 
 

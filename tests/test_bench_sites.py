@@ -53,3 +53,26 @@ def test_run_makes_one_solve_per_step_and_one_more_velocity_call(monkeypatch):
     assert traj.termination == "horizon"
     steps = math.ceil(0.5 / 0.01)
     assert calls == {"solve_banded": steps, "boundary_velocities": steps + 1}
+
+
+def test_auto_dt_run_looks_up_auto_dt_once_per_step(monkeypatch):
+    # bench/tracer.py times solver.auto_dt at frontlab.solver.auto_dt, so under
+    # dt = auto run() must call it through the module, once per step
+    calls = {"solve_banded": 0, "auto_dt": 0}
+
+    def counting(name):
+        original = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.2, rho=0.2)
+    init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
+    traj = run(p, init, make_kernel("tent", 1.0), RunControl(horizon=0.5, n=64, record_every=1))
+    assert traj.termination == "horizon"
+    assert calls["auto_dt"] == calls["solve_banded"] == len(traj.t) - 1 > 0

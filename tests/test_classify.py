@@ -4,6 +4,7 @@ Certificate logic is exercised on hand-crafted trajectories so each
 branch is hit exactly, then on real runs for end-to-end agreement.
 """
 
+import importlib
 import math
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from frontlab import (
     RegimeError,
     RunControl,
     ScanControl,
+    SolverFailure,
     classify,
     ell_star_cached,
     estimate_threshold,
@@ -40,6 +42,8 @@ from frontlab import (
 )
 from frontlab.output import phase_csv
 from frontlab.solver import Trajectory
+
+classify_module = importlib.import_module("frontlab.classify")  # frontlab.classify is the function
 
 TENT = make_kernel("tent", 1.0)
 
@@ -235,6 +239,37 @@ def test_threshold_one_sided_scans_inconclusive():
     with pytest.raises(InconclusiveError) as err:
         estimate_threshold(_params(a=0.5), init, TENT, ctrl=vanish_only)
     assert "extend the scan upward" in str(err.value)
+
+
+# scales of the criterion-08 bracket: the last Vanishing scan scale below it
+# and its two ends, on the ray mu = rho = s/2
+@pytest.mark.parametrize(
+    "scale, verdict",
+    [(11.78768634793589, VANISHING), (17.06643681296347, VANISHING), (24.709112279856093, SPREADING)],
+)
+def test_threshold_scale_verdicts_pinned_under_auto_dt(scale, verdict):
+    # criterion-08 setup (competition, tent, h0 = 0.3) with the default scan
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    got = classify_module._classify_at_scale(
+        _params(), init, TENT, scale, (0.5, 0.5), ScanControl(), ClassifyTolerances()
+    )
+    assert got == verdict
+
+
+def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
+    calls = []
+
+    def failing_run(p, init, k, ctrl):
+        calls.append(ctrl.dt)
+        raise SolverFailure("stability bound violated")
+
+    monkeypatch.setattr(classify_module, "run", failing_run)
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    got = classify_module._classify_at_scale(
+        _params(), init, TENT, 17.0, (0.5, 0.5), ScanControl(), ClassifyTolerances()
+    )
+    assert got == UNDECIDED
+    assert calls == [None]  # one dt = auto attempt
 
 
 def _sweep_config(axes: str, horizon: float = 20.0):

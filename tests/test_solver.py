@@ -18,7 +18,6 @@ from frontlab import (
     ModelParams,
     RunControl,
     SolverFailure,
-    auto_dt,
     boundary_velocities,
     field_bounds,
     fixed_domain_run,
@@ -30,7 +29,7 @@ from frontlab import (
     transform_coefficients,
 )
 from frontlab import solver
-from frontlab.solver import State, reference_grid
+from frontlab.solver import State, auto_dt, reference_grid
 
 TENT = make_kernel("tent", 1.0)
 
@@ -79,6 +78,22 @@ def test_initial_state_pins_endpoints_and_rejects_negative():
     bad = InitialData(h0=1.0, u0=lambda x: np.cos(np.pi * np.asarray(x)), v0=lambda x: 0 * np.asarray(x))
     with pytest.raises(ValueError):
         initial_state(bad, 50)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_initial_state_rejects_non_finite_profiles(bad_value):
+    # the steps check only their own output, so a NaN or inf in the data
+    # must be caught here; NaN slips through a bare "min() < 0" test
+    def u0(x):
+        u = 0.3 * np.cos(0.5 * np.pi * np.asarray(x, dtype=float))
+        u[len(u) // 2] = bad_value
+        return u
+
+    bad = InitialData(h0=1.0, u0=u0, v0=lambda x: 0.2 * np.cos(0.5 * np.pi * np.asarray(x)))
+    with pytest.raises(ValueError, match="finite"):
+        initial_state(bad, 50)
+    with pytest.raises(ValueError, match="finite"):
+        initial_state(InitialData(h0=1.0, u0=bad.v0, v0=u0), 50)
 
 
 def test_boundary_velocities_against_quadrature_oracle():
@@ -147,13 +162,12 @@ def test_positivity_and_bounds_every_step():
     p = _params()
     init = InitialData.cosine(h0=1.0, amp_u=0.7, amp_v=0.9)
     bnds = field_bounds(p, init.h0, 0.7, 0.9, 0.9 * math.pi / 2.0)
-    s = initial_state(init, 80)
-    dt = auto_dt(p, init, TENT, 80)
-    for _ in range(300):
-        s = step(s, p, TENT, dt)
-        assert s.w.min() >= 0.0 and s.z.min() >= 0.0
-        assert s.w.max() <= bnds.k1 + 1e-8
-        assert s.z.max() <= bnds.k2 + 1e-8
+    traj = run(p, init, TENT, RunControl(horizon=2.5, n=80, record_every=1, snapshot_every=1))
+    assert len(traj.snapshots) == len(traj.t) > 20  # every step under dt = auto
+    for s in traj.snapshots:
+        assert s.u.min() >= 0.0 and s.v.min() >= 0.0
+        assert s.u.max() <= bnds.k1 + 1e-8
+        assert s.v.max() <= bnds.k2 + 1e-8
         assert s.g < s.h
 
 
@@ -206,12 +220,57 @@ def test_stability_guard_aborts_instead_of_substepping():
 
 
 def test_auto_dt_is_stable():
+    # each auto step stays within 0.9 of the stability bound at the
+    # advection speed of the state it starts from
     p = _params()
     init = InitialData.cosine(h0=1.5, amp_u=0.5, amp_v=0.5)
-    dt = auto_dt(p, init, TENT, 100)
-    assert dt > 0.0
-    traj = run(p, init, TENT, RunControl(horizon=30 * dt, n=100, dt=dt, record_every=10))
+    n = 100
+    traj = run(p, init, TENT, RunControl(horizon=1.0, n=n, record_every=1))
     assert traj.termination == "horizon"
+    rate_cap = solver._data_bounds(p, initial_state(init, n))[1]
+    zeta = 2.0 / traj.length[:-1] * np.maximum(-traj.gdot[:-1], traj.hdot[:-1])
+    cap = 0.9 * solver._CFL * np.minimum(2.0 / n / zeta, 1.0 / rate_cap)
+    assert np.all(np.diff(traj.t) <= cap * (1.0 + 1e-12))
+
+
+def test_auto_dt_first_step_and_speed_change_guard():
+    p = _params()
+    s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3), 64)
+    rate_cap = solver._data_bounds(p, s)[1]
+    gdot, hdot = -0.2, 0.2
+    cap = solver._dt_cap(0.9 * solver._CFL, 2.0 / 64, 2.0 / (s.h - s.g) * 0.2, rate_cap)
+    # no previous step: a fraction of the stability bound
+    assert auto_dt(s, gdot, hdot, rate_cap, None) == solver._SPEED_CHANGE * cap
+    # speeds that did not change leave the stability bound
+    assert auto_dt(s, gdot, hdot, rate_cap, (gdot, hdot, 1e-3)) == cap
+    # h' changed by 0.1 over a step of 1e-3; the next step may change it by
+    # _SPEED_CHANGE of the larger speed, 0.3
+    dt = auto_dt(s, gdot, hdot, rate_cap, (-0.2, 0.3, 1e-3))
+    assert dt == pytest.approx(solver._SPEED_CHANGE * 0.3 * 1e-3 / 0.1)
+    assert dt < cap
+
+
+def test_auto_dt_run_ends_on_the_horizon_exactly():
+    p = _params()
+    init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
+    for horizon in (0.37, 1.0, 2.9):
+        traj = run(p, init, TENT, RunControl(horizon=horizon, n=64, record_every=7, snapshot_every=5))
+        assert traj.termination == "horizon"
+        assert traj.t[-1] == horizon
+        assert traj.snapshots[-1].t == horizon
+        assert np.all(np.diff(traj.t) > 0.0)
+
+
+def test_auto_dt_runs_are_identical_on_rerun():
+    p = _params()
+    init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
+    ctrl = RunControl(horizon=3.0, n=64, record_every=3, snapshot_every=10)
+    first, second = run(p, init, TENT, ctrl), run(p, init, TENT, ctrl)
+    for name in solver.TRAJECTORY_COLUMNS:
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert len(first.snapshots) == len(second.snapshots)
+    for a, b in zip(first.snapshots, second.snapshots):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v) and a.t == b.t
 
 
 def test_run_records_endpoints_and_samples():
