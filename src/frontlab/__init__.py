@@ -2,23 +2,14 @@
 species diffuses by a nonlocal convolution operator and the other by ordinary
 diffusion, on a shared interval whose endpoints move with the solution.
 
-Public surface: kernels, model parameters and bounds, the principal-eigenvalue
-tools, the moving-domain solver, spreading/vanishing classification, threshold
-estimation, parameter sweeps, super-solution domination checks, and the
-config-driven CLI.
+Public surface: what the README and the CLI use (kernels, the moving-domain
+solver, principal eigenvalues and the critical length, spreading/vanishing
+classification, threshold estimation, parameter sweeps, super-solution
+domination checks, config loading), plus the control, result and error types
+those functions take or return.  Everything else stays in its submodule.
 """
 
 from .classify import (
-    CERT_A_RATE,
-    CERT_ELL_STAR,
-    CERT_HORIZON,
-    CERT_PI_SQRT_D2,
-    CERT_PLATEAU,
-    PHASE_COLUMNS,
-    SPREADING,
-    SWEEP_AXES,
-    UNDECIDED,
-    VANISHING,
     Classification,
     ClassifyTolerances,
     PhaseTable,
@@ -28,18 +19,9 @@ from .classify import (
     ell_star_cached,
     estimate_threshold,
     make_dichotomy_stop,
-    spreading_length_threshold,
     sweep,
 )
-from .config import RunConfig, load_config, parse_config, render_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    FrontlabError,
-    InconclusiveError,
-    RegimeError,
-    SolverFailure,
-)
+from .config import RunConfig, load_config
 from .eigen import (
     CriticalLengthResult,
     EigenProblem,
@@ -49,31 +31,17 @@ from .eigen import (
     lambda_p,
     lambda_p_interval,
 )
-from .kernels import KNOWN_FAMILIES, Kernel, make_kernel
-from .model import (
-    KINDS,
-    Bounds,
-    InitialData,
-    ModelParams,
-    coexistence_state,
-    cosine_bump,
-    field_bounds,
-    in_weak_regime,
-    reaction,
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    FrontlabError,
+    InconclusiveError,
+    RegimeError,
+    SolverFailure,
 )
-from .solver import (
-    RunControl,
-    Snapshot,
-    State,
-    Trajectory,
-    TransformedCoeffs,
-    boundary_velocities,
-    fixed_domain_run,
-    initial_state,
-    run,
-    step,
-    transform_coefficients,
-)
+from .kernels import Kernel, make_kernel
+from .model import InitialData, ModelParams
+from .solver import RunControl, Trajectory, run
 from .supersolution import (
     DominationReport,
     SuperSolutionSpec,
@@ -84,4 +52,21 @@ from .supersolution import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # simulation and classification
+    "InitialData", "ModelParams", "RunControl", "Trajectory", "run",
+    "ClassifyTolerances", "Classification", "classify", "make_dichotomy_stop",
+    "ScanControl", "ThresholdEstimate", "estimate_threshold",
+    "PhaseTable", "sweep",
+    # kernels, eigenvalues, critical length
+    "Kernel", "make_kernel",
+    "EigenProblem", "EigenResult", "default_n", "lambda_p", "lambda_p_interval",
+    "CriticalLengthResult", "critical_length", "ell_star_cached",
+    # super-solution checks
+    "SuperSolutionSpec", "DominationReport", "build_vanishing_supersolution",
+    "build_vanishing_supersolution_predation", "check_domination",
+    # configs
+    "RunConfig", "load_config",
+    # errors
+    "FrontlabError", "ConfigError", "ConvergenceError", "InconclusiveError", "RegimeError", "SolverFailure",
+]

@@ -79,14 +79,23 @@ def ell_star_cached(d1: float, a: float, family: str, radius: float, tol: float 
     return critical_length(d1, a, make_kernel(family, radius), tol=tol)
 
 
+def _spread_lengths(
+    p: ModelParams, k: Kernel, spread_length: Optional[float] = None
+) -> tuple[float, float, float]:
+    """(pi*sqrt(d2), critical length, threshold): the two lengths a
+    vanishing habitat never outgrows, and the habitat length beyond which
+    spreading is certified, spread_length when given and otherwise the
+    smaller of the two.  The critical length only exists for a < d1 and
+    is inf otherwise."""
+    pi_bound = math.pi * math.sqrt(p.d2)
+    ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star if p.a < p.d1 else math.inf
+    return pi_bound, ell, min(pi_bound, ell) if spread_length is None else spread_length
+
+
 def spreading_length_threshold(p: ModelParams, k: Kernel) -> float:
     """Habitat length beyond which spreading is certified: the smaller of
     pi*sqrt(d2) and the critical length (the latter only exists for a < d1)."""
-    pi_bound = math.pi * math.sqrt(p.d2)
-    if p.a < p.d1:
-        ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
-        return min(pi_bound, ell)
-    return pi_bound
+    return _spread_lengths(p, k)[2]
 
 
 def classify(
@@ -111,9 +120,7 @@ def classify(
             verdict=SPREADING, certificate=CERT_A_RATE, fired_at=float(traj.t[0]), **evidence
         )
 
-    pi_bound = math.pi * math.sqrt(p.d2)
-    ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
-    threshold = tols.spread_length if tols.spread_length is not None else min(pi_bound, ell)
+    pi_bound, ell, threshold = _spread_lengths(p, k, tols.spread_length)
     crossed = np.nonzero(length > threshold)[0]
     if crossed.size:
         idx = int(crossed[0])
@@ -165,14 +172,8 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
     fires or the vanishing plateau conditions hold over the trailing
     window.  The eigenvalue condition is left to classify() afterwards."""
     tols = tols or ClassifyTolerances()
-    if p.a >= p.d1:
-        threshold = None  # spreading is unconditional
-    else:
-        threshold = (
-            tols.spread_length
-            if tols.spread_length is not None
-            else spreading_length_threshold(p, k)
-        )
+    # None: spreading is unconditional
+    threshold = None if p.a >= p.d1 else _spread_lengths(p, k, tols.spread_length)[2]
     window = tols.window_fraction * horizon
 
     def rule(rec) -> Optional[str]:
@@ -269,9 +270,8 @@ def estimate_threshold(
 
     if not (p.a < p.d1):
         raise RegimeError(f"threshold undefined: a={p.a} >= d1={p.d1} spreads unconditionally")
-    pi_bound = math.pi * math.sqrt(p.d2)
-    ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
-    cap = 0.5 * min(pi_bound, ell)
+    pi_bound, ell, threshold = _spread_lengths(p, k)
+    cap = 0.5 * threshold
     if not (init.h0 < cap):
         raise RegimeError(
             f"threshold undefined: h0={init.h0} >= {cap:.6g} = half of "
@@ -401,12 +401,9 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
         (cfg, dict(zip(names, combo)))
         for combo in product(*(cfg.sweep_axes[name] for name in names))
     ]
-    rows: list = [None] * len(cells)
     if workers <= 1:
-        for i, cell in enumerate(cells):
-            rows[i] = _sweep_cell(cell)
+        rows = list(map(_sweep_cell, cells))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(_sweep_cell, cells)):
-                rows[i] = row
+            rows = list(pool.map(_sweep_cell, cells))
     return PhaseTable(columns=PHASE_COLUMNS, rows=rows)

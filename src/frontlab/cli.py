@@ -331,28 +331,24 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(dumps_json({"error": type(exc).__name__, "message": str(exc)}))
 
 
+# (exception types, exit code); the first entry the error matches wins
+_EXIT_CODES = (
+    # ValueError: bad direct flag values (kernel, eigenproblem, ...)
+    ((ConfigError, ValueError), EXIT_CONFIG),
+    ((SolverFailure, ConvergenceError), EXIT_SOLVER),
+    (InconclusiveError, EXIT_INCONCLUSIVE),
+    (RegimeError, EXIT_REGIME),
+    (Exception, EXIT_UNEXPECTED),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except Exception as exc:  # every failure becomes a JSON record and an exit code
         _emit_error(exc)
-        return EXIT_CONFIG
-    except ValueError as exc:  # bad direct flag values (kernel, eigenproblem, ...)
-        _emit_error(exc)
-        return EXIT_CONFIG
-    except (SolverFailure, ConvergenceError) as exc:
-        _emit_error(exc)
-        return EXIT_SOLVER
-    except InconclusiveError as exc:
-        _emit_error(exc)
-        return EXIT_INCONCLUSIVE
-    except RegimeError as exc:
-        _emit_error(exc)
-        return EXIT_REGIME
-    except Exception as exc:  # pragma: no cover - last resort
-        _emit_error(exc)
-        return EXIT_UNEXPECTED
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ summary so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .classify import SWEEP_AXES, ClassifyTolerances, ScanControl
@@ -111,8 +111,18 @@ def _parse_str(raw: str) -> str:
 
 
 _REQUIRED = object()
+_FIELD = object()
 
-# key -> (parser, default); _REQUIRED marks keys a config must provide
+# sections whose keys fill the fields of a dataclass, by field name
+_SECTIONS = {
+    "model": ModelParams,
+    "numerics": RunControl,
+    "classify": ClassifyTolerances,
+    "threshold": ScanControl,
+}
+
+# key -> (parser, default); _REQUIRED marks keys a config must provide, and
+# _FIELD the keys that take the default of the dataclass field they fill
 _SCHEMA = {
     "kernel.family": (_parse_choice(KNOWN_FAMILIES), "tent"),
     "kernel.radius": (_parse_pos_float, 1.0),
@@ -127,24 +137,24 @@ _SCHEMA = {
     "init.h0": (_parse_pos_float, _REQUIRED),
     "init.amp_u": (_parse_pos_float, 0.1),
     "init.amp_v": (_parse_pos_float, 0.1),
-    "numerics.n": (_parse_int(8), 200),
-    "numerics.dt": (_parse_pos_float_or_auto, None),
+    "numerics.n": (_parse_int(8), _FIELD),
+    "numerics.dt": (_parse_pos_float_or_auto, _FIELD),
     "numerics.horizon": (_parse_pos_float, 100.0),
-    "numerics.record_every": (_parse_int(1), 10),
-    "numerics.snapshot_every": (_parse_int(0), 0),
-    "classify.vanish_tol": (_parse_pos_float, 1e-3),
-    "classify.speed_tol": (_parse_pos_float, 1e-3),
-    "classify.eigen_slack": (_parse_pos_float, 1e-2),
-    "classify.window_fraction": (_parse_fraction, 0.1),
-    "classify.spread_length": (_parse_pos_float_or_auto, None),
+    "numerics.record_every": (_parse_int(1), _FIELD),
+    "numerics.snapshot_every": (_parse_int(0), _FIELD),
+    "classify.vanish_tol": (_parse_pos_float, _FIELD),
+    "classify.speed_tol": (_parse_pos_float, _FIELD),
+    "classify.eigen_slack": (_parse_pos_float, _FIELD),
+    "classify.window_fraction": (_parse_fraction, _FIELD),
+    "classify.spread_length": (_parse_pos_float_or_auto, _FIELD),
     "threshold.ray_mu": (_parse_nonneg_float, 0.5),
     "threshold.ray_rho": (_parse_nonneg_float, 0.5),
-    "threshold.s_min": (_parse_pos_float, 1e-6),
-    "threshold.s_max": (_parse_pos_float, 1e3),
-    "threshold.points": (_parse_int(2), 8),
-    "threshold.max_bisect": (_parse_int(0), 12),
-    "threshold.horizon": (_parse_pos_float, 80.0),
-    "threshold.n": (_parse_int(8), 120),
+    "threshold.s_min": (_parse_pos_float, _FIELD),
+    "threshold.s_max": (_parse_pos_float, _FIELD),
+    "threshold.points": (_parse_int(2), _FIELD),
+    "threshold.max_bisect": (_parse_int(0), _FIELD),
+    "threshold.horizon": (_parse_pos_float, _FIELD),
+    "threshold.n": (_parse_int(8), _FIELD),
     "supersolution.h1": (_parse_pos_float_or_auto, None),
     "sweep.a": (_parse_float_list, None),
     "sweep.d1": (_parse_float_list, None),
@@ -157,6 +167,25 @@ _SCHEMA = {
     "output.directory": (_parse_str, "."),
     "output.formats": (_parse_formats, "csv,json"),
 }
+
+
+def _default(key: str, default):
+    if default is not _FIELD:
+        return default
+    section, name = key.split(".")
+    return next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+
+
+# key -> default, with _FIELD resolved
+_DEFAULTS = {key: _default(key, default) for key, (_, default) in _SCHEMA.items()}
+
+
+def _build_section(section: str, resolved: dict):
+    """The section's dataclass from its resolved keys; a field without a
+    key (RunControl.stop_rule) keeps its default."""
+    cls = _SECTIONS[section]
+    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    return cls(**{name: resolved[key] for name, key in keys.items() if key in resolved})
 
 
 @dataclass(frozen=True)
@@ -214,13 +243,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
         lines[key] = lineno
 
-    missing = [key for key, (_, default) in _SCHEMA.items() if default is _REQUIRED and key not in values]
+    missing = [key for key, default in _DEFAULTS.items() if default is _REQUIRED and key not in values]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
 
-    resolved = {}
-    for key, (_, default) in _SCHEMA.items():
-        resolved[key] = values.get(key, default if default is not _REQUIRED else None)
+    resolved = {
+        key: values.get(key, None if default is _REQUIRED else default) for key, default in _DEFAULTS.items()
+    }
 
     if resolved["threshold.s_min"] >= resolved["threshold.s_max"]:
         raise ConfigError(
@@ -230,51 +259,18 @@ def parse_config(text: str) -> RunConfig:
     if resolved["threshold.ray_mu"] + resolved["threshold.ray_rho"] <= 0:
         raise ConfigError("threshold.ray_mu + threshold.ray_rho must be positive")
 
-    kernel = make_kernel(resolved["kernel.family"], resolved["kernel.radius"])
-    model = ModelParams(
-        kind=resolved["model.kind"],
-        d1=resolved["model.d1"],
-        d2=resolved["model.d2"],
-        a=resolved["model.a"],
-        b=resolved["model.b"],
-        c=resolved["model.c"],
-        mu=resolved["model.mu"],
-        rho=resolved["model.rho"],
-    )
-    numerics = RunControl(
-        n=resolved["numerics.n"],
-        dt=resolved["numerics.dt"],
-        horizon=resolved["numerics.horizon"],
-        record_every=resolved["numerics.record_every"],
-        snapshot_every=resolved["numerics.snapshot_every"],
-    )
-    tols = ClassifyTolerances(
-        vanish_tol=resolved["classify.vanish_tol"],
-        speed_tol=resolved["classify.speed_tol"],
-        eigen_slack=resolved["classify.eigen_slack"],
-        window_fraction=resolved["classify.window_fraction"],
-        spread_length=resolved["classify.spread_length"],
-    )
-    scan = ScanControl(
-        s_min=resolved["threshold.s_min"],
-        s_max=resolved["threshold.s_max"],
-        points=resolved["threshold.points"],
-        max_bisect=resolved["threshold.max_bisect"],
-        horizon=resolved["threshold.horizon"],
-        n=resolved["threshold.n"],
-    )
     sweep_axes = {
         axis: resolved[f"sweep.{axis}"] for axis in SWEEP_AXES if resolved[f"sweep.{axis}"] is not None
     }
     return RunConfig(
-        kernel=kernel,
-        model=model,
+        kernel=make_kernel(resolved["kernel.family"], resolved["kernel.radius"]),
+        model=_build_section("model", resolved),
         h0=resolved["init.h0"],
         amp_u=resolved["init.amp_u"],
         amp_v=resolved["init.amp_v"],
-        numerics=numerics,
-        tols=tols,
-        scan=scan,
+        numerics=_build_section("numerics", resolved),
+        tols=_build_section("classify", resolved),
+        scan=_build_section("threshold", resolved),
         ray=(resolved["threshold.ray_mu"], resolved["threshold.ray_rho"]),
         h1=resolved["supersolution.h1"],
         sweep_axes=sweep_axes,

@@ -201,9 +201,8 @@ def critical_length(
     lo = 8.0 * spacing
     f_lo = lam(lo, n_for(lo))
     if f_lo > 0.0:
-        hi, f_hi = lo, f_lo
         while f_lo > 0.0:
-            hi, f_hi = lo, f_lo
+            hi = lo
             lo *= 0.5
             if lo < 1e-9 * radius:
                 raise RegimeError(
@@ -214,7 +213,7 @@ def critical_length(
         hi = 2.0 * lo
         f_hi = lam(hi, n_for(hi))
         while f_hi <= 0.0:
-            lo, f_lo = hi, f_hi
+            lo = hi
             hi *= 2.0
             if hi > ell_max:
                 raise RegimeError(

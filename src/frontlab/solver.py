@@ -75,12 +75,6 @@ class State:
     z: np.ndarray  # v(t, x(t,y_i))
 
 
-@dataclass(frozen=True)
-class TransformedCoeffs:
-    xi: float
-    zeta: np.ndarray
-
-
 @dataclass
 class Snapshot:
     t: float
@@ -131,7 +125,7 @@ class RunControl:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
 
 
-def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int) -> TransformedCoeffs:
+def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int) -> tuple[float, np.ndarray]:
     """Mapped-frame coefficients on the habitat [g, h] with n reference
     intervals: xi = (2/(h-g))^2 and the per-node advection speed
     zeta_i = (2/(h-g)) * x_t(t, y_i)."""
@@ -141,7 +135,7 @@ def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int)
     y = reference_grid(n)[0]
     x_t = 0.5 * (gdot + hdot) + y * 0.5 * (hdot - gdot)
     scale = 2.0 / length
-    return TransformedCoeffs(xi=scale * scale, zeta=scale * x_t)
+    return scale * scale, scale * x_t
 
 
 def _data_bounds(p: ModelParams, s: State) -> tuple[Bounds, float]:
@@ -161,14 +155,14 @@ def _dt_cap(safety: float, dy: float, zeta: float, rate_cap: float) -> float:
     return safety * min(dy / zeta if zeta > 0 else math.inf, 1.0 / rate_cap)
 
 
-def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """scipy.linalg.solve_banded for a tridiagonal system, (l, u) = (1, 1):
-    the same gtsv call on the same diagonals, so the same bits, without
-    the wrapper's per-call validation, which costs several times the solve
-    at the step's sizes.  Raises LinAlgError on an exactly singular pivot."""
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"only tridiagonal systems, (l, u) = (1, 1), are supported; got {l_and_u}")
-    x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+def solve_banded(alpha: float, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with constant diagonals (-alpha,
+    1 + 2*alpha, -alpha) for b: the gtsv call scipy.linalg.solve_banded
+    makes on that band, so the same bits, without the wrapper's per-call
+    validation, which costs several times the solve at the step's sizes.
+    Raises LinAlgError on an exactly singular pivot."""
+    off = np.full(len(b) - 1, -alpha)
+    x, info = _gtsv(off, np.full(len(b), 1.0 + 2.0 * alpha), off, b)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -228,8 +222,7 @@ class _Stepper:
         g1 = s.g + dt * gdot
         h1 = s.h + dt * hdot
         # coefficients on the advanced geometry, start-of-step velocities
-        co = transform_coefficients(g1, h1, gdot, hdot, self.n)
-        zeta = co.zeta
+        xi, zeta = transform_coefficients(g1, h1, gdot, hdot, self.n)
         length = h1 - g1
 
         zeta_max = float(np.max(np.abs(zeta)))
@@ -255,14 +248,9 @@ class _Stepper:
         dz = _upwind(z, upwind_right, dy)
         rhs = z + dt * (zeta * dz + f2)
         z1 = np.zeros_like(z)
-        alpha = dt * p.d2 * co.xi / (dy * dy)
-        m = len(z) - 2
-        ab = np.empty((3, m))
-        ab[0, :] = -alpha
-        ab[1, :] = 1.0 + 2.0 * alpha
-        ab[2, :] = -alpha
+        alpha = dt * p.d2 * xi / (dy * dy)
         try:
-            z1[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
+            z1[1:-1] = solve_banded(alpha, rhs[1:-1])
         except LinAlgError as exc:
             raise SolverFailure(f"tridiagonal solve failed at t={s.t}: {exc}") from exc
 
@@ -313,16 +301,6 @@ def _clamp_roundoff(f: np.ndarray, t: float, name: str) -> None:
         )
     if fmin < 0.0:
         np.clip(f, 0.0, None, out=f)
-
-
-def step(s: State, p: ModelParams, k: Kernel, dt: float) -> State:
-    """One IMEX Euler step (standalone form; run() uses the cached path).
-
-    Bounds for the invariant check are derived from the current state,
-    treating it as initial data.
-    """
-    gdot, hdot = boundary_velocities(s, p, k)
-    return _Stepper(p, k, s).step(s, dt, gdot, hdot)
 
 
 def initial_state(init: InitialData, n: int) -> State:
@@ -434,62 +412,3 @@ def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Traje
                 break
 
     return rec.to_trajectory(termination, ctrl.n, snapshots)
-
-
-def fixed_domain_run(
-    d: float,
-    theta0: float,
-    interval: tuple[float, float],
-    u0: np.ndarray,
-    k: Kernel,
-    T: float,
-    dt: Optional[float] = None,
-) -> tuple[np.ndarray, str]:
-    """Nonlocal logistic equation u_t = d*(K u - u) + u*(theta0 - u) on a
-    fixed interval (no boundary condition is needed; the operator is
-    nonlocal).  Returns the final field and a persistence verdict:
-    'persists' when the sup-norm plateaus above 1e-3, 'dies' when it
-    decays below 1e-6, 'undecided' otherwise.
-
-    Reference implementation, not used by run() or the CLI: the tests use
-    it as the fixed-habitat oracle, checking that its verdict follows the
-    sign of the principal eigenvalue.
-    """
-    l1, l2 = interval
-    if not (l2 > l1):
-        raise ValueError(f"degenerate interval ({l1}, {l2})")
-    u = np.asarray(u0, dtype=float).copy()
-    n = len(u)
-    if n < 9:
-        raise ValueError("need at least 9 samples")
-    hx = (l2 - l1) / (n - 1)
-    if hx >= k.radius / 4.0:
-        raise ValueError(f"spacing {hx:.3g} too coarse for kernel radius {k.radius:.3g}")
-    if u.min() < 0:
-        raise ValueError("u0 must be nonnegative")
-
-    wq = trapezoid_weights(n, hx)
-
-    cap = max(theta0, float(u.max()), 0.0)
-    if dt is None:
-        dt = _CFL / (d + abs(theta0) + 2.0 * cap + 1.0)
-    n_steps = max(1, math.ceil(T / dt))
-    check_every = max(1, int(round(1.0 / dt)))  # compare sup-norms ~1 time unit apart
-
-    sup_prev = float(u.max())
-    verdict = "undecided"
-    for istep in range(1, n_steps + 1):
-        u = u + dt * (d * (nonlocal_apply(k, hx, wq * u) - u) + u * (theta0 - u))
-        _clamp_roundoff(u, istep * dt, "u")
-        if float(u.max()) > 10.0 * (cap + 1.0):
-            raise SolverFailure(f"fixed-domain run blew up at t={istep * dt}")
-        if istep % check_every == 0 or istep == n_steps:
-            sup_now = float(u.max())
-            if sup_now < 1e-6:
-                verdict = "dies"
-                break
-            if sup_now > 1e-3 and abs(sup_now - sup_prev) <= 1e-6 * sup_now:
-                verdict = "persists"
-                break
-            sup_prev = sup_now
-    return u, verdict

@@ -15,7 +15,6 @@ import scipy.integrate
 import scipy.linalg
 
 from frontlab import (
-    KNOWN_FAMILIES,
     InitialData,
     ModelParams,
     RunControl,
@@ -24,16 +23,17 @@ from frontlab import (
     classify,
     critical_length,
     estimate_threshold,
-    field_bounds,
-    initial_state,
     lambda_p_interval,
     make_dichotomy_stop,
     make_kernel,
-    parse_config,
     run,
     sweep,
 )
+from frontlab.config import parse_config
+from frontlab.kernels import KNOWN_FAMILIES
+from frontlab.model import field_bounds
 from frontlab.output import phase_csv
+from frontlab.solver import initial_state
 
 TENT = make_kernel("tent", 1.0)
 

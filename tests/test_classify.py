@@ -12,15 +12,6 @@ import numpy as np
 import pytest
 
 from frontlab import (
-    CERT_A_RATE,
-    CERT_ELL_STAR,
-    CERT_HORIZON,
-    CERT_PI_SQRT_D2,
-    CERT_PLATEAU,
-    PHASE_COLUMNS,
-    SPREADING,
-    UNDECIDED,
-    VANISHING,
     ClassifyTolerances,
     ConfigError,
     InconclusiveError,
@@ -35,11 +26,22 @@ from frontlab import (
     estimate_threshold,
     make_dichotomy_stop,
     make_kernel,
-    parse_config,
     run,
-    spreading_length_threshold,
     sweep,
 )
+from frontlab.classify import (
+    CERT_A_RATE,
+    CERT_ELL_STAR,
+    CERT_HORIZON,
+    CERT_PI_SQRT_D2,
+    CERT_PLATEAU,
+    PHASE_COLUMNS,
+    SPREADING,
+    UNDECIDED,
+    VANISHING,
+    spreading_length_threshold,
+)
+from frontlab.config import parse_config
 from frontlab.output import phase_csv
 from frontlab.solver import Trajectory
 

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from frontlab import lambda_p_interval, make_kernel, parse_config, render_config
+from frontlab import lambda_p_interval, make_kernel
+from frontlab.config import render_config
 from frontlab.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from frontlab import ConfigError, load_config, parse_config, render_config
+from frontlab import ClassifyTolerances, ConfigError, RunControl, ScanControl, load_config
+from frontlab.config import parse_config, render_config
 
 MINIMAL = """\
 kernel.family = tent
@@ -33,6 +34,10 @@ def test_minimal_config_fills_defaults():
     assert cfg.ray == (0.5, 0.5)
     assert cfg.h1 is None
     assert cfg.sweep_axes == {}
+    # the section defaults are the dataclasses' own
+    assert cfg.numerics == RunControl(horizon=100.0)
+    assert cfg.tols == ClassifyTolerances()
+    assert cfg.scan == ScanControl()
 
 
 def test_comments_and_blank_lines_ignored():

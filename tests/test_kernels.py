@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from frontlab import KNOWN_FAMILIES, make_kernel
-from frontlab.kernels import nonlocal_apply
+from frontlab import make_kernel
+from frontlab.kernels import KNOWN_FAMILIES, nonlocal_apply
 
 RADII = (0.5, 1.0, 2.5)
 

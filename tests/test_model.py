@@ -5,16 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import (
-    InitialData,
-    ModelParams,
-    RegimeError,
-    coexistence_state,
-    cosine_bump,
-    field_bounds,
-    in_weak_regime,
-    reaction,
-)
+from frontlab import InitialData, ModelParams, RegimeError
+from frontlab.model import coexistence_state, cosine_bump, field_bounds, in_weak_regime, reaction
 
 
 def _params(kind="competition", **kw):

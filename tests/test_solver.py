@@ -18,20 +18,79 @@ from frontlab import (
     ModelParams,
     RunControl,
     SolverFailure,
-    boundary_velocities,
-    field_bounds,
-    fixed_domain_run,
-    initial_state,
     lambda_p_interval,
     make_kernel,
     run,
-    step,
+    solver,
+)
+from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
+from frontlab.model import field_bounds
+from frontlab.solver import (
+    State,
+    auto_dt,
+    boundary_velocities,
+    initial_state,
+    reference_grid,
     transform_coefficients,
 )
-from frontlab import solver
-from frontlab.solver import State, auto_dt, reference_grid
 
 TENT = make_kernel("tent", 1.0)
+
+
+def step(s: State, p: ModelParams, k: Kernel, dt: float) -> State:
+    """One IMEX Euler step from s, with the field bounds taken from s as initial data."""
+    gdot, hdot = boundary_velocities(s, p, k)
+    return solver._Stepper(p, k, s).step(s, dt, gdot, hdot)
+
+
+def fixed_domain_run(d, theta0, interval, u0, k, T, dt=None):
+    """Nonlocal logistic equation u_t = d*(K u - u) + u*(theta0 - u) on a
+    fixed interval (no boundary condition is needed; the operator is
+    nonlocal).  Returns the final field and a persistence verdict:
+    'persists' when the sup-norm plateaus above 1e-3, 'dies' when it
+    decays below 1e-6, 'undecided' otherwise.
+
+    The fixed-habitat oracle: its verdict must follow the sign of the
+    principal eigenvalue.
+    """
+    l1, l2 = interval
+    if not (l2 > l1):
+        raise ValueError(f"degenerate interval ({l1}, {l2})")
+    u = np.asarray(u0, dtype=float).copy()
+    n = len(u)
+    if n < 9:
+        raise ValueError("need at least 9 samples")
+    hx = (l2 - l1) / (n - 1)
+    if hx >= k.radius / 4.0:
+        raise ValueError(f"spacing {hx:.3g} too coarse for kernel radius {k.radius:.3g}")
+    if u.min() < 0:
+        raise ValueError("u0 must be nonnegative")
+
+    wq = trapezoid_weights(n, hx)
+
+    cap = max(theta0, float(u.max()), 0.0)
+    if dt is None:
+        dt = solver._CFL / (d + abs(theta0) + 2.0 * cap + 1.0)
+    n_steps = max(1, math.ceil(T / dt))
+    check_every = max(1, int(round(1.0 / dt)))  # compare sup-norms ~1 time unit apart
+
+    sup_prev = float(u.max())
+    verdict = "undecided"
+    for istep in range(1, n_steps + 1):
+        u = u + dt * (d * (nonlocal_apply(k, hx, wq * u) - u) + u * (theta0 - u))
+        solver._clamp_roundoff(u, istep * dt, "u")
+        if float(u.max()) > 10.0 * (cap + 1.0):
+            raise SolverFailure(f"fixed-domain run blew up at t={istep * dt}")
+        if istep % check_every == 0 or istep == n_steps:
+            sup_now = float(u.max())
+            if sup_now < 1e-6:
+                verdict = "dies"
+                break
+            if sup_now > 1e-3 and abs(sup_now - sup_prev) <= 1e-6 * sup_now:
+                verdict = "persists"
+                break
+            sup_prev = sup_now
+    return u, verdict
 
 
 def _params(kind="competition", **kw):
@@ -57,10 +116,10 @@ def test_reference_grid():
 def test_transform_coefficients_hand_values():
     n = 8
     y = np.linspace(-1.0, 1.0, n + 1)
-    co = transform_coefficients(g=-1.0, h=3.0, gdot=-0.5, hdot=1.0, n=n)
-    assert co.xi == pytest.approx((2.0 / 4.0) ** 2)
+    xi, zeta = transform_coefficients(g=-1.0, h=3.0, gdot=-0.5, hdot=1.0, n=n)
+    assert xi == pytest.approx((2.0 / 4.0) ** 2)
     expect = (2.0 / 4.0) * (0.25 + 0.75 * y)
-    np.testing.assert_allclose(co.zeta, expect, atol=1e-15)
+    np.testing.assert_allclose(zeta, expect, atol=1e-15)
 
 
 def test_transform_rejects_degenerate_domain():
@@ -399,23 +458,24 @@ def test_fixed_domain_validation():
 @pytest.mark.parametrize("m", [7, 119, 199])
 def test_solve_banded_matches_scipy_bit_for_bit(m):
     rng = np.random.default_rng(m)
-    ab = rng.uniform(-1.0, 1.0, (3, m))
-    ab[1] = np.abs(ab[0]) + np.abs(ab[2]) + rng.uniform(0.1, 1.0, m)  # diagonally dominant
-    b = rng.standard_normal(m)
-    ab_in, b_in = ab.copy(), b.copy()
-    x = solver.solve_banded((1, 1), ab, b)
-    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
-    assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)  # inputs untouched
+    for alpha in (rng.uniform(1e-3, 1.0), rng.uniform(1.0, 1e3)):
+        ab = np.empty((3, m))
+        ab[0] = ab[2] = -alpha
+        ab[1] = 1.0 + 2.0 * alpha
+        b = rng.standard_normal(m)
+        b_in = b.copy()
+        x = solver.solve_banded(alpha, b)
+        assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+        assert np.array_equal(b, b_in)  # input untouched
 
 
 def test_singular_tridiagonal_raises_and_step_reports_solver_failure(monkeypatch):
+    # alpha = -1/2 leaves a zero diagonal, singular for an odd size
     with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
-        solver.solve_banded((1, 1), np.zeros((3, 5)), np.ones(5))
-    with pytest.raises(ValueError, match="tridiagonal"):
-        solver.solve_banded((2, 1), np.ones((4, 5)), np.ones(5))
+        solver.solve_banded(-0.5, np.ones(5))
 
     real = solver.solve_banded
-    monkeypatch.setattr(solver, "solve_banded", lambda lu, ab, b: real(lu, np.zeros_like(ab), b))
+    monkeypatch.setattr(solver, "solve_banded", lambda alpha, b: real(-0.5, b))
     s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2), 64)
     with pytest.raises(SolverFailure, match="tridiagonal solve failed"):
         step(s, _params(), TENT, dt=0.01)
@@ -423,7 +483,7 @@ def test_singular_tridiagonal_raises_and_step_reports_solver_failure(monkeypatch
 
 def test_non_finite_after_state_is_reported_as_non_finite(monkeypatch):
     s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2), 64)
-    monkeypatch.setattr(solver, "solve_banded", lambda lu, ab, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(solver, "solve_banded", lambda alpha, b: np.full_like(b, np.nan))
     with pytest.raises(SolverFailure, match="non-finite field values"):
         step(s, _params(), TENT, dt=0.01)
     monkeypatch.undo()
