@@ -46,7 +46,6 @@ from .supersolution import (
     DominationReport,
     SuperSolutionSpec,
     build_vanishing_supersolution,
-    build_vanishing_supersolution_predation,
     check_domination,
 )
 
@@ -63,8 +62,7 @@ __all__ = [
     "EigenProblem", "EigenResult", "default_n", "lambda_p", "lambda_p_interval",
     "CriticalLengthResult", "critical_length", "ell_star_cached",
     # super-solution checks
-    "SuperSolutionSpec", "DominationReport", "build_vanishing_supersolution",
-    "build_vanishing_supersolution_predation", "check_domination",
+    "SuperSolutionSpec", "DominationReport", "build_vanishing_supersolution", "check_domination",
     # configs
     "RunConfig", "load_config",
     # errors

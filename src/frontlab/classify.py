@@ -92,12 +92,6 @@ def _spread_lengths(
     return pi_bound, ell, min(pi_bound, ell) if spread_length is None else spread_length
 
 
-def spreading_length_threshold(p: ModelParams, k: Kernel) -> float:
-    """Habitat length beyond which spreading is certified: the smaller of
-    pi*sqrt(d2) and the critical length (the latter only exists for a < d1)."""
-    return _spread_lengths(p, k)[2]
-
-
 def classify(
     traj: Trajectory, p: ModelParams, k: Kernel, tols: ClassifyTolerances | None = None
 ) -> Classification:

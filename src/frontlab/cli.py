@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .classify import classify, ell_star_cached, estimate_threshold, make_dichotomy_stop, sweep
+from .classify import classify, estimate_threshold, make_dichotomy_stop, sweep
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
@@ -27,11 +27,7 @@ from .output import (
     write_snapshots,
 )
 from .solver import Trajectory, run
-from .supersolution import (
-    build_vanishing_supersolution,
-    build_vanishing_supersolution_predation,
-    check_domination,
-)
+from .supersolution import build_vanishing_supersolution, check_domination
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -191,16 +187,7 @@ def cmd_supersolution_check(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
     p, k = cfg.model, cfg.kernel
-    h1 = cfg.h1
-    if h1 is None:
-        ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
-        h1 = 0.5 * (cfg.h0 + 0.5 * ell)
-    builder = (
-        build_vanishing_supersolution
-        if p.kind == "competition"
-        else build_vanishing_supersolution_predation
-    )
-    spec = builder(p, cfg.init_data(), k, h1)
+    spec = build_vanishing_supersolution(p, cfg.init_data(), k, cfg.h1)
     snapshot_every = cfg.numerics.snapshot_every or cfg.numerics.record_every
     traj = run(p, cfg.init_data(), k, cfg.run_control(snapshot_every=snapshot_every))
     report = check_domination(spec, traj)

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .classify import ell_star_cached
 from .eigen import lambda_p_interval
 from .errors import RegimeError
 from .kernels import Kernel
@@ -112,47 +114,16 @@ def _ratio_max(numer, denom_vals: np.ndarray, probe: np.ndarray) -> float:
     return float(np.max(vals / denom_vals))
 
 
-def _common_preconditions(p: ModelParams, init: InitialData, h1: float) -> None:
-    half_pi_sqrt_d2 = 0.5 * math.pi * math.sqrt(p.d2)
-    if not (p.a < p.d1):
-        raise RegimeError(f"super-solution needs a < d1; got a={p.a}, d1={p.d1}")
-    if not (init.h0 < h1):
-        raise RegimeError(f"need h0 < h1; got h0={init.h0}, h1={h1}")
-    if not (init.h0 < half_pi_sqrt_d2):
-        raise RegimeError(
-            f"need h0 < (pi/2)*sqrt(d2) = {half_pi_sqrt_d2:.6g}; got h0={init.h0}"
-        )
+def _competition(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
+    """Competition recipe, returning (budget, constants).
 
-
-def build_vanishing_supersolution(
-    p: ModelParams, init: InitialData, k: Kernel, h1: float
-) -> SuperSolutionSpec:
-    """Competition-case super-solution on the enclosing interval (-h1, h1).
-
-    Constants follow the explicit recipe: lam from the eigenproblem; C the
-    smallest multiple of phi sitting above u0; delta keeps the widened
-    cosine inside the stability window; sigma below the cosine's decay
-    margin; K lifts the cosine above v0.  The admissible budget is
-    Lambda0 = min{h1-h0, delta*h0}/m with m the larger of the two
-    front-motion coefficients.
+    C is u_ratio, the smallest multiple of phi sitting above u0; delta
+    keeps the widened cosine inside the stability window; sigma stays
+    below the cosine's decay margin; K lifts the cosine above v0.  The
+    budget is Lambda0 = min{h1-h0, delta*h0}/m with m the larger of the
+    two front-motion coefficients.
     """
-    if p.kind != "competition":
-        raise RegimeError(f"competition construction called with kind={p.kind!r}")
-    _common_preconditions(p, init, h1)
-
-    eig = lambda_p_interval(p.d1, p.a, -h1, h1, k)
-    lam = eig.lambda_p
-    if not (lam < 0):
-        raise RegimeError(
-            f"principal eigenvalue on (-{h1}, {h1}) is {lam:.6g} >= 0; "
-            "shrink h1 below half the critical length"
-        )
-
     h0 = init.h0
-    probe = np.linspace(-h0, h0, _PROBE_POINTS)
-    phi_probe = np.interp(probe, eig.x, eig.eigenfunction)
-    C = _ratio_max(init.u0, phi_probe, probe)
-
     q = 0.5 * math.pi * math.sqrt(p.d2) / h0  # > 1 by precondition
     delta = min(0.8, 0.25 * (q - 1.0))
     beta = p.d2 * math.pi**2 / (4.0 * h0**2 * (1.0 + 2.0 * delta) ** 2) - 1.0
@@ -163,54 +134,23 @@ def build_vanishing_supersolution(
     s0 = h0 * (1.0 + delta)
     K = _ratio_max(init.v0, np.cos(0.5 * math.pi * probe / s0), probe)
 
-    m = max(
-        math.pi * K / (2.0 * sigma * h0 * (1.0 + delta)),
-        -4.0 * C * h1 / lam,
-    )
+    m = max(math.pi * K / (2.0 * sigma * h0 * (1.0 + delta)), -4.0 * u_ratio * h1 / lam)
     budget = min(h1 - h0, delta * h0) / m
-
-    return SuperSolutionSpec(
-        case="competition",
-        mu=p.mu,
-        rho=p.rho,
-        h0=h0,
-        h1=h1,
-        lam=lam,
-        budget=budget,
-        constants={"C": C, "K": K, "delta": delta, "sigma": sigma, "m": m},
-        phi_x=eig.x,
-        phi_samples=eig.eigenfunction,
-    )
+    return budget, {"C": u_ratio, "K": K, "delta": delta, "sigma": sigma, "m": m}
 
 
-def build_vanishing_supersolution_predation(
-    p: ModelParams, init: InitialData, k: Kernel, h1: float
-) -> SuperSolutionSpec:
-    """Predation-case super-solution with the same interface.
+def _predation(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
+    """Predation recipe, returning (budget, constants).
 
     eps is a third of the gap between h0 and (pi/2)*sqrt(d2); sigma obeys
     c*sigma <= cos(pi*h1/(2*(h1+eps))); k lifts both barriers above the
     data; gamma is half the weaker of the two decay margins.
     """
-    if p.kind != "predation":
-        raise RegimeError(f"predation construction called with kind={p.kind!r}")
-    _common_preconditions(p, init, h1)
-
-    eig = lambda_p_interval(p.d1, p.a, -h1, h1, k)
-    lam = eig.lambda_p
-    if not (lam < 0):
-        raise RegimeError(
-            f"principal eigenvalue on (-{h1}, {h1}) is {lam:.6g} >= 0; "
-            "shrink h1 below half the critical length"
-        )
-
     h0 = init.h0
     eps = (0.5 * math.pi * math.sqrt(p.d2) - h0) / 3.0
     sigma = min(1.0, 0.99 * math.cos(0.5 * math.pi * h1 / (h1 + eps)) / p.c)
 
-    probe = np.linspace(-h0, h0, _PROBE_POINTS)
-    phi_probe = np.interp(probe, eig.x, eig.eigenfunction)
-    k_u = _ratio_max(init.u0, phi_probe, probe) / sigma
+    k_u = u_ratio / sigma
     k_v = _ratio_max(init.v0, np.cos(0.5 * math.pi * probe / (h0 + eps)), probe)
     k_amp = max(k_u, k_v)
 
@@ -224,25 +164,54 @@ def build_vanishing_supersolution_predation(
     m2 = max(2.0 * sigma * k_amp * h1, k_amp * math.pi / (2.0 * h0))
     x_max = 0.5 * math.pi * math.sqrt(p.d2 / (gamma + 1.0)) - h0 - eps
     budget = gamma * min(h1 - h0, x_max) / m2
+    constants = {"k": k_amp, "sigma": sigma, "gamma": gamma, "theta": theta, "delta": delta, "eps": eps}
+    return budget, constants
 
+
+_RECIPES = {"competition": _competition, "predation": _predation}
+
+
+def build_vanishing_supersolution(
+    p: ModelParams, init: InitialData, k: Kernel, h1: Optional[float] = None
+) -> SuperSolutionSpec:
+    """Super-solution of either model kind on the enclosing interval (-h1, h1).
+
+    The kind's recipe turns lam, the principal eigenvalue on (-h1, h1),
+    and u_ratio, the smallest multiple of its eigenfunction phi above u0,
+    into the admissible budget and the constants.  h1 defaults to
+    (h0 + ell*/2)/2, halfway between h0 and half the critical length.
+    """
+    h0 = init.h0
+    if not (p.a < p.d1):
+        raise RegimeError(f"super-solution needs a < d1; got a={p.a}, d1={p.d1}")
+    if h1 is None:
+        half_ell = 0.5 * ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
+        if not (h0 < half_ell):
+            raise RegimeError(
+                f"automatic h1 = (h0 + ell*/2)/2 needs h0 < ell*/2 = {half_ell:.6g}; "
+                f"got h0={h0}; set supersolution.h1 above h0 instead"
+            )
+        h1 = 0.5 * (h0 + half_ell)
+    if not (h0 < h1):
+        raise RegimeError(f"need h0 < h1; got h0={h0}, h1={h1}")
+    half_pi_sqrt_d2 = 0.5 * math.pi * math.sqrt(p.d2)
+    if not (h0 < half_pi_sqrt_d2):
+        raise RegimeError(f"need h0 < (pi/2)*sqrt(d2) = {half_pi_sqrt_d2:.6g}; got h0={h0}")
+
+    eig = lambda_p_interval(p.d1, p.a, -h1, h1, k)
+    lam = eig.lambda_p
+    if not (lam < 0):
+        raise RegimeError(
+            f"principal eigenvalue on (-{h1}, {h1}) is {lam:.6g} >= 0; "
+            "shrink h1 below half the critical length"
+        )
+
+    probe = np.linspace(-h0, h0, _PROBE_POINTS)
+    u_ratio = _ratio_max(init.u0, np.interp(probe, eig.x, eig.eigenfunction), probe)
+    budget, constants = _RECIPES[p.kind](p, init, h1, lam, probe, u_ratio)
     return SuperSolutionSpec(
-        case="predation",
-        mu=p.mu,
-        rho=p.rho,
-        h0=h0,
-        h1=h1,
-        lam=lam,
-        budget=budget,
-        constants={
-            "k": k_amp,
-            "sigma": sigma,
-            "gamma": gamma,
-            "theta": theta,
-            "delta": delta,
-            "eps": eps,
-        },
-        phi_x=eig.x,
-        phi_samples=eig.eigenfunction,
+        case=p.kind, mu=p.mu, rho=p.rho, h0=h0, h1=h1, lam=lam, budget=budget,
+        constants=constants, phi_x=eig.x, phi_samples=eig.eigenfunction,
     )
 
 

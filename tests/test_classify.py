@@ -39,7 +39,7 @@ from frontlab.classify import (
     SPREADING,
     UNDECIDED,
     VANISHING,
-    spreading_length_threshold,
+    _spread_lengths,
 )
 from frontlab.config import parse_config
 from frontlab.output import phase_csv
@@ -166,12 +166,10 @@ def test_undecided_when_norms_still_large():
 
 
 def test_spreading_length_threshold():
-    p = _params(a=0.5, d2=1.0)
     ell = ell_star_cached(1.0, 0.5, "tent", 1.0).ell_star
-    assert spreading_length_threshold(p, TENT) == pytest.approx(min(math.pi, ell))
-    assert spreading_length_threshold(_params(a=2.0, d2=0.25), TENT) == pytest.approx(
-        math.pi * 0.5
-    )
+    assert _spread_lengths(_params(a=0.5, d2=1.0), TENT) == (math.pi, ell, min(math.pi, ell))
+    # a >= d1: no critical length, so pi*sqrt(d2) alone sets the threshold
+    assert _spread_lengths(_params(a=2.0, d2=0.25), TENT) == (math.pi * 0.5, math.inf, math.pi * 0.5)
 
 
 def test_ell_star_cache_hits():

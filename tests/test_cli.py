@@ -224,14 +224,23 @@ supersolution.h1 = 0.3
 """
 
 
-def test_supersolution_check_command(tmp_path):
-    cfg = _write(tmp_path, SUPER_CFG)
+@pytest.mark.parametrize("h1", ["0.3", None])
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_supersolution_check_command(tmp_path, kind, h1):
+    text = SUPER_CFG.replace("model.kind = competition", f"model.kind = {kind}")
+    if kind == "predation":
+        text = text.replace("model.mu = 0.1", "model.mu = 0.01").replace("model.rho = 0.1", "model.rho = 0.01")
+    if h1 is None:
+        text = text.replace("supersolution.h1 = 0.3\n", "")
+    cfg = _write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["supersolution-check", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
     record = json.loads((out / "domination.json").read_text())
     assert record["dominated"] is True
     assert record["budget_ok"] is True
-    assert record["case"] == "competition"
+    assert record["case"] == kind
+    if h1 is not None:
+        assert record["h1"] == 0.3
     assert record["lambda"] < 0.0
     assert (out / "trajectory.csv").exists()
     assert (out / "snapshot_00000.csv").exists()
@@ -278,6 +287,17 @@ def test_regime_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["supersolution-check", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_REGIME
     assert json.loads(capsys.readouterr().err)["error"] == "RegimeError"
+
+
+def test_automatic_h1_regime_error_names_half_the_critical_length(tmp_path, capsys):
+    # ell*/2 = 0.316 for the tent kernel at d1 = 1, a = 0.5, so the automatic
+    # h1 = (h0 + ell*/2)/2 would fall below h0 = 0.4
+    text = SUPER_CFG.replace("init.h0 = 0.25", "init.h0 = 0.4").replace("supersolution.h1 = 0.3\n", "")
+    cfg = _write(tmp_path, text)
+    assert main(["supersolution-check", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_REGIME
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RegimeError"
+    assert "needs h0 < ell*/2 = 0.316045; got h0=0.4; set supersolution.h1" in err["message"]
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -32,6 +32,7 @@ def test_star_import_binds_no_module_and_no_internal_name():
     assert not [name for name, value in bound.items() if isinstance(value, types.ModuleType)]
     internal = {
         "step", "fixed_domain_run", "TransformedCoeffs", "State", "Snapshot", "in_weak_regime", "cosine_bump",
+        "build_vanishing_supersolution_predation",
     }
     assert not internal & bound.keys()
 

@@ -9,8 +9,8 @@ from frontlab import (
     RegimeError,
     RunControl,
     build_vanishing_supersolution,
-    build_vanishing_supersolution_predation,
     check_domination,
+    ell_star_cached,
     make_kernel,
     run,
 )
@@ -73,9 +73,11 @@ def test_competition_fronts_freeze_as_budget_vanishes():
     assert np.max(np.abs(spec.hbar(t) - INIT.h0)) <= 1e-10
 
 
-def test_competition_domination_on_simulated_run():
-    p = _competition()
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_domination_on_simulated_run(kind):
+    p = _competition() if kind == "competition" else _predation()
     spec = build_vanishing_supersolution(p, INIT, TENT, h1=0.3)
+    assert spec.case == kind
     assert p.mu + p.rho <= spec.budget
     traj = run(p, INIT, TENT, RunControl(horizon=40.0, n=200, record_every=10, snapshot_every=50))
     report = check_domination(spec, traj)
@@ -98,7 +100,7 @@ def test_budget_flag_reports_overspend():
 
 
 def test_predation_construction_invariants():
-    spec = build_vanishing_supersolution_predation(_predation(), INIT, TENT, h1=0.3)
+    spec = build_vanishing_supersolution(_predation(), INIT, TENT, h1=0.3)
     assert spec.case == "predation"
     assert spec.lam < 0.0
     assert spec.constants["gamma"] > 0.0
@@ -110,27 +112,21 @@ def test_predation_construction_invariants():
     assert hbar[0] == pytest.approx(INIT.h0)
 
 
-def test_predation_domination_on_simulated_run():
-    p = _predation()
-    spec = build_vanishing_supersolution_predation(p, INIT, TENT, h1=0.3)
-    assert p.mu + p.rho <= spec.budget
-    traj = run(p, INIT, TENT, RunControl(horizon=40.0, n=200, record_every=10, snapshot_every=50))
-    report = check_domination(spec, traj)
-    assert report.budget_ok
-    assert report.dominated
-
-
-def test_kind_mismatch_rejected():
-    with pytest.raises(RegimeError):
-        build_vanishing_supersolution(_predation(), INIT, TENT, h1=0.3)
-    with pytest.raises(RegimeError):
-        build_vanishing_supersolution_predation(_competition(), INIT, TENT, h1=0.3)
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_omitted_h1_is_halfway_to_half_the_critical_length(kind):
+    p = _competition() if kind == "competition" else _predation()
+    ell_star = ell_star_cached(p.d1, p.a, TENT.family, TENT.radius).ell_star
+    spec = build_vanishing_supersolution(p, INIT, TENT)
+    assert spec.h1 == 0.5 * (INIT.h0 + 0.5 * ell_star)
 
 
 def test_preconditions_rejected():
     # growth must lose to dispersal
     with pytest.raises(RegimeError):
         build_vanishing_supersolution(_competition(a=1.5), INIT, TENT, h1=0.3)
+    # also before any automatic h1, which needs the critical length
+    with pytest.raises(RegimeError, match="super-solution needs a < d1"):
+        build_vanishing_supersolution(_competition(a=1.5), INIT, TENT)
     # the enclosing interval must contain the initial habitat
     with pytest.raises(RegimeError):
         build_vanishing_supersolution(_competition(), INIT, TENT, h1=0.2)
