@@ -56,7 +56,6 @@ class ClassifyTolerances:
     speed_tol: float = 1e-3
     eigen_slack: float = 1e-2
     window_fraction: float = 0.1
-    spread_length: Optional[float] = None  # override of the spreading length threshold
 
 
 @dataclass
@@ -73,23 +72,33 @@ class Classification:
     note: str = ""
 
 
+# bisection tolerance of every cached critical length
+_ELL_STAR_TOL = 1e-4
+
+
 @lru_cache(maxsize=None)
-def ell_star_cached(d1: float, a: float, family: str, radius: float, tol: float = 1e-4) -> CriticalLengthResult:
+def ell_star_cached(d1: float, a: float, family: str, radius: float) -> CriticalLengthResult:
     """Critical length, computed once per (d1, a, kernel) for reuse in sweeps."""
-    return critical_length(d1, a, make_kernel(family, radius), tol=tol)
+    return critical_length(d1, a, make_kernel(family, radius), tol=_ELL_STAR_TOL)
 
 
-def _spread_lengths(
-    p: ModelParams, k: Kernel, spread_length: Optional[float] = None
-) -> tuple[float, float, float]:
-    """(pi*sqrt(d2), critical length, threshold): the two lengths a
-    vanishing habitat never outgrows, and the habitat length beyond which
-    spreading is certified, spread_length when given and otherwise the
-    smaller of the two.  The critical length only exists for a < d1 and
-    is inf otherwise."""
-    pi_bound = math.pi * math.sqrt(p.d2)
-    ell = ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star if p.a < p.d1 else math.inf
-    return pi_bound, ell, min(pi_bound, ell) if spread_length is None else spread_length
+def _spread_lengths(p: ModelParams, k: Kernel) -> tuple[float, float]:
+    """(pi*sqrt(d2), critical length): the two lengths a vanishing habitat
+    never outgrows, so a habitat longer than their minimum spreads.
+    Needs a < d1, where the critical length exists."""
+    return math.pi * math.sqrt(p.d2), ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
+
+
+def _quiet(rec, start: int, tols: ClassifyTolerances) -> bool:
+    """Whether both sup norms sit below vanish_tol and both front speeds
+    below speed_tol at every record from index start on."""
+    return all(
+        rec.sup_u[i] < tols.vanish_tol
+        and rec.sup_v[i] < tols.vanish_tol
+        and abs(rec.gdot[i]) < tols.speed_tol
+        and abs(rec.hdot[i]) < tols.speed_tol
+        for i in range(start, len(rec.t))
+    )
 
 
 def classify(
@@ -114,49 +123,29 @@ def classify(
             verdict=SPREADING, certificate=CERT_A_RATE, fired_at=float(traj.t[0]), **evidence
         )
 
-    pi_bound, ell, threshold = _spread_lengths(p, k, tols.spread_length)
-    crossed = np.nonzero(length > threshold)[0]
+    pi_bound, ell = _spread_lengths(p, k)
+    crossed = np.nonzero(length > min(pi_bound, ell))[0]
     if crossed.size:
         idx = int(crossed[0])
-        reached = float(length[idx])
-        # certificate must be sound against the actual bounds, not the override
-        if reached > ell:
-            cert = CERT_ELL_STAR
-        elif reached > pi_bound:
-            cert = CERT_PI_SQRT_D2
-        else:
-            cert = ""
-        if cert:
-            return Classification(
-                verdict=SPREADING, certificate=cert, fired_at=float(traj.t[idx]), **evidence
-            )
+        cert = CERT_ELL_STAR if length[idx] > ell else CERT_PI_SQRT_D2
+        return Classification(verdict=SPREADING, certificate=cert, fired_at=float(traj.t[idx]), **evidence)
 
-    window = traj.t >= traj.t[-1] - tols.window_fraction * traj.t[-1]
-    if np.count_nonzero(window) < 2 and traj.t.size >= 2:
-        # coarse record cadence can leave the trailing-fraction window with a
-        # single sample (e.g. after an early stop); a plateau still needs two
-        window = np.zeros_like(window)
-        window[-2:] = True
-    if np.count_nonzero(window) >= 2:
-        norms_ok = bool(
-            np.all(traj.sup_u[window] < tols.vanish_tol)
-            and np.all(traj.sup_v[window] < tols.vanish_tol)
+    # the records in the trailing window_fraction of [0, t_final], and at least
+    # the last two: coarse record cadence (e.g. after an early stop) can leave one
+    start = min(bisect_left(traj.t, traj.t[-1] - tols.window_fraction * traj.t[-1]), traj.t.size - 2)
+    if (
+        start >= 0
+        and _quiet(traj, start, tols)
+        and evidence["final_length"] <= pi_bound + 2.0 * final_dx
+        and evidence["lambda_p_final"] <= tols.eigen_slack
+    ):
+        return Classification(
+            verdict=VANISHING,
+            certificate=CERT_PLATEAU,
+            fired_at=float(traj.t[start]),
+            note=_PLATEAU_NOTE,
+            **evidence,
         )
-        speeds_ok = bool(
-            np.all(np.abs(traj.gdot[window]) < tols.speed_tol)
-            and np.all(np.abs(traj.hdot[window]) < tols.speed_tol)
-        )
-        length_ok = evidence["final_length"] <= pi_bound + 2.0 * final_dx
-        eigen_ok = evidence["lambda_p_final"] <= tols.eigen_slack
-        if norms_ok and speeds_ok and length_ok and eigen_ok:
-            fired = float(traj.t[np.nonzero(window)[0][0]])
-            return Classification(
-                verdict=VANISHING,
-                certificate=CERT_PLATEAU,
-                fired_at=fired,
-                note=_PLATEAU_NOTE,
-                **evidence,
-            )
 
     return Classification(verdict=UNDECIDED, certificate=CERT_HORIZON, fired_at=None, **evidence)
 
@@ -167,7 +156,7 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
     window.  The eigenvalue condition is left to classify() afterwards."""
     tols = tols or ClassifyTolerances()
     # None: spreading is unconditional
-    threshold = None if p.a >= p.d1 else _spread_lengths(p, k, tols.spread_length)[2]
+    threshold = None if p.a >= p.d1 else min(_spread_lengths(p, k))
     window = tols.window_fraction * horizon
 
     def rule(rec) -> Optional[str]:
@@ -178,14 +167,8 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
         t_now = rec.t[-1]
         if t_now >= 2.0 * window:
             # rec.t increases, so the window is a suffix of the record
-            tail = range(bisect_left(rec.t, t_now - window), len(rec.t))
-            if len(tail) >= 3 and all(
-                rec.sup_u[i] < tols.vanish_tol
-                and rec.sup_v[i] < tols.vanish_tol
-                and abs(rec.gdot[i]) < tols.speed_tol
-                and abs(rec.hdot[i]) < tols.speed_tol
-                for i in tail
-            ):
+            start = bisect_left(rec.t, t_now - window)
+            if len(rec.t) - start >= 3 and _quiet(rec, start, tols):
                 return "vanishing-plateau"
         return None
 
@@ -217,6 +200,14 @@ class ThresholdEstimate:
     scanned: list = field(default_factory=list)  # (scale, verdict) pairs, sorted
 
 
+def _run_classified(
+    p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl, tols: ClassifyTolerances
+) -> Classification:
+    """Run under the dichotomy stop rule, then classify the trajectory."""
+    stop = make_dichotomy_stop(p, k, ctrl.horizon, tols)
+    return classify(run(p, init, k, ctrl, stop_rule=stop), p, k, tols)
+
+
 def _classify_at_scale(
     p: ModelParams,
     init: InitialData,
@@ -227,13 +218,11 @@ def _classify_at_scale(
     tols: ClassifyTolerances,
 ) -> str:
     p_s = replace(p, mu=scale * ray[0], rho=scale * ray[1])
-    stop = make_dichotomy_stop(p_s, k, ctrl.horizon, tols)
-    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY, stop_rule=stop)
+    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
     try:
-        traj = run(p_s, init, k, rc)
+        return _run_classified(p_s, init, k, rc, tols).verdict
     except SolverFailure:
         return UNDECIDED
-    return classify(traj, p_s, k, tols).verdict
 
 
 def estimate_threshold(
@@ -264,8 +253,8 @@ def estimate_threshold(
 
     if not (p.a < p.d1):
         raise RegimeError(f"threshold undefined: a={p.a} >= d1={p.d1} spreads unconditionally")
-    pi_bound, ell, threshold = _spread_lengths(p, k)
-    cap = 0.5 * threshold
+    pi_bound, ell = _spread_lengths(p, k)
+    cap = 0.5 * min(pi_bound, ell)
     if not (init.h0 < cap):
         raise RegimeError(
             f"threshold undefined: h0={init.h0} >= {cap:.6g} = half of "
@@ -360,11 +349,8 @@ def _sweep_cell(cell: tuple) -> dict:
     try:
         model_axes = {name: value for name, value in axes.items() if name != "h0"}
         cfg = replace(cfg, model=replace(cfg.model, **model_axes), h0=out["h0"])
-        p, k = cfg.model, cfg.kernel
-        init = cfg.init_data()
-        stop = make_dichotomy_stop(p, k, cfg.numerics.horizon, cfg.tols)
-        traj = run(p, init, k, cfg.run_control(stop_rule=stop, snapshot_every=0))
-        cls = classify(traj, p, k, cfg.tols)
+        ctrl = replace(cfg.numerics, snapshot_every=0)
+        cls = _run_classified(cfg.model, cfg.init_data(), cfg.kernel, ctrl, cfg.tols)
         out.update(
             verdict=cls.verdict,
             certificate=cls.certificate,
@@ -390,12 +376,14 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     top of cfg.  Cells are expanded row-major in SWEEP_AXES order, and
     the output keeps that order no matter how many workers run or in what
     order they finish."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
     cells = [
         (cfg, dict(zip(names, combo)))
         for combo in product(*(cfg.sweep_axes[name] for name in names))
     ]
-    if workers <= 1:
+    if workers == 1:
         rows = list(map(_sweep_cell, cells))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .classify import classify, estimate_threshold, make_dichotomy_stop, sweep
 from .config import RunConfig, load_config
@@ -78,7 +79,7 @@ def _final_record(traj: Trajectory) -> dict:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.run_control())
+    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics)
     written, snapshot_records = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:
         summary = {
@@ -101,7 +102,7 @@ def cmd_classify(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
     stop = make_dichotomy_stop(cfg.model, cfg.kernel, cfg.numerics.horizon, cfg.tols)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.run_control(stop_rule=stop))
+    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics, stop_rule=stop)
     cls = classify(traj, cfg.model, cfg.kernel, cfg.tols)
     written, _ = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:
@@ -189,7 +190,7 @@ def cmd_supersolution_check(args) -> int:
     p, k = cfg.model, cfg.kernel
     spec = build_vanishing_supersolution(p, cfg.init_data(), k, cfg.h1)
     snapshot_every = cfg.numerics.snapshot_every or cfg.numerics.record_every
-    traj = run(p, cfg.init_data(), k, cfg.run_control(snapshot_every=snapshot_every))
+    traj = run(p, cfg.init_data(), k, replace(cfg.numerics, snapshot_every=snapshot_every))
     report = check_domination(spec, traj)
     written, _ = _emit_trajectory(outdir, cfg, traj)
     if "json" in cfg.formats:

@@ -15,7 +15,7 @@ summary so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .classify import SWEEP_AXES, ClassifyTolerances, ScanControl
@@ -146,7 +146,6 @@ _SCHEMA = {
     "classify.speed_tol": (_parse_pos_float, _FIELD),
     "classify.eigen_slack": (_parse_pos_float, _FIELD),
     "classify.window_fraction": (_parse_fraction, _FIELD),
-    "classify.spread_length": (_parse_pos_float_or_auto, _FIELD),
     "threshold.ray_mu": (_parse_nonneg_float, 0.5),
     "threshold.ray_rho": (_parse_nonneg_float, 0.5),
     "threshold.s_min": (_parse_pos_float, _FIELD),
@@ -181,11 +180,9 @@ _DEFAULTS = {key: _default(key, default) for key, (_, default) in _SCHEMA.items(
 
 
 def _build_section(section: str, resolved: dict):
-    """The section's dataclass from its resolved keys; a field without a
-    key (RunControl.stop_rule) keeps its default."""
+    """The section's dataclass from its resolved keys."""
     cls = _SECTIONS[section]
-    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
-    return cls(**{name: resolved[key] for name, key in keys.items() if key in resolved})
+    return cls(**{f.name: resolved[f"{section}.{f.name}"] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ class RunConfig:
     h0: float
     amp_u: float
     amp_v: float
-    numerics: RunControl  # the numerics section; its stop_rule is None
+    numerics: RunControl
     tols: ClassifyTolerances
     scan: ScanControl
     ray: tuple[float, float]
@@ -208,13 +205,6 @@ class RunConfig:
 
     def init_data(self) -> InitialData:
         return InitialData.cosine(self.h0, self.amp_u, self.amp_v)
-
-    def run_control(self, stop_rule=None, snapshot_every: int | None = None) -> RunControl:
-        """The numerics section with stop_rule set; snapshot_every, when
-        given, replaces numerics.snapshot_every."""
-        if snapshot_every is None:
-            snapshot_every = self.numerics.snapshot_every
-        return replace(self.numerics, stop_rule=stop_rule, snapshot_every=snapshot_every)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -37,6 +37,8 @@ _VEC_TOL = 1e-12
 _MAX_SOLVES = 50
 # operator-application residual, relative to the dispersal scale d
 _RESIDUAL_TOL = 1e-8
+# critical_length searches lengths up to this many kernel radii
+_ELL_MAX_RADII = 50.0
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,9 @@ def lambda_p(prob: EigenProblem) -> EigenResult:
     return EigenResult(nu + prob.theta0 - prob.d, phi, x, residual, iterations=solves)
 
 
-def lambda_p_interval(
-    d: float, theta0: float, ell1: float, ell2: float, kernel: Kernel, n: int | None = None
-) -> EigenResult:
-    """Convenience wrapper choosing the node count automatically."""
-    if n is None:
-        n = default_n(ell1, ell2, kernel)
+def lambda_p_interval(d: float, theta0: float, ell1: float, ell2: float, kernel: Kernel) -> EigenResult:
+    """Convenience wrapper choosing the node count with default_n."""
+    n = default_n(ell1, ell2, kernel)
     return lambda_p(EigenProblem(d=d, theta0=theta0, ell1=ell1, ell2=ell2, n=n, kernel=kernel))
 
 
@@ -165,13 +164,7 @@ class CriticalLengthResult:
     n: int
 
 
-def critical_length(
-    d1: float,
-    a: float,
-    kernel: Kernel,
-    tol: float = 1e-4,
-    ell_max: float | None = None,
-) -> CriticalLengthResult:
+def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> CriticalLengthResult:
     """Interval length at which the principal eigenvalue of the dispersal
     operator plus constant rate a crosses zero.
 
@@ -180,16 +173,18 @@ def critical_length(
     bisection on length applies.  The bracket is first located by
     geometric expansion/shrinkage at a fixed spacing target, then refined
     with a node count frozen for the whole bisection so the discrete
-    eigenvalue is a smooth function of length.
+    eigenvalue is a smooth function of length.  The search gives up past
+    _ELL_MAX_RADII kernel radii.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if not (0.0 < a < d1):
         raise RegimeError(
             f"critical length requires 0 < a < d1; got a={a}, d1={d1} "
             "(eigenvalue never changes sign)"
         )
     radius = kernel.radius
-    if ell_max is None:
-        ell_max = 50.0 * radius
+    ell_max = _ELL_MAX_RADII * radius
     spacing = radius / 10.0
 
     def n_for(ell: float) -> int:
@@ -217,8 +212,7 @@ def critical_length(
             hi *= 2.0
             if hi > ell_max:
                 raise RegimeError(
-                    f"no sign change found below ell_max={ell_max:.3g}; "
-                    "raise ell_max or check parameters"
+                    f"no sign change found below ell_max={ell_max:.3g}; check parameters"
                 )
             f_hi = lam(hi, n_for(hi))
 

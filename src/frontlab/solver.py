@@ -112,7 +112,6 @@ class RunControl:
     dt: Optional[float] = None  # None: auto_dt chooses each step from the state
     record_every: int = 10
     snapshot_every: int = 0  # 0 disables field snapshots
-    stop_rule: Optional[Callable] = None  # called at record points; returns reason or None
 
     def __post_init__(self):
         if not (self.horizon > 0):
@@ -362,13 +361,17 @@ class _Recorder:
         return Trajectory(**columns, termination=termination, n=n, snapshots=snapshots)
 
 
-def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Trajectory:
+def run(
+    p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl, stop_rule: Optional[Callable] = None
+) -> Trajectory:
     """Integrate until the horizon or until the stop rule fires.
 
     An explicit ctrl.dt takes ceil(horizon/dt) steps of that dt; with
     ctrl.dt None, auto_dt chooses each dt from the state and the last step
-    ends on the horizon exactly.  record_every counts steps.  Deterministic
-    given inputs; the initial sample and the final state are always recorded.
+    ends on the horizon exactly.  record_every counts steps.  stop_rule,
+    when given, is called with the record at every record point and ends
+    the run when it returns a reason.  Deterministic given inputs; the
+    initial sample and the final state are always recorded.
     """
     state = initial_state(init, ctrl.n)
     stepper = _Stepper(p, k, state)
@@ -405,8 +408,8 @@ def run(p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl) -> Traje
             rec.add(state, gdot, hdot)
         if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or last):
             snap(state)
-        if recorded and ctrl.stop_rule is not None:
-            reason = ctrl.stop_rule(rec)
+        if recorded and stop_rule is not None:
+            reason = stop_rule(rec)
             if reason:
                 termination = f"stop:{reason}"
                 break

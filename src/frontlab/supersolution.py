@@ -32,6 +32,8 @@ from .model import InitialData, ModelParams
 from .solver import Trajectory
 
 _PROBE_POINTS = 2001
+# largest overshoot of the barrier that check_domination still counts as dominated
+_DOMINATION_TOL = 1e-6
 
 
 @dataclass
@@ -229,7 +231,7 @@ class DominationReport:
     samples_checked: int
 
 
-def check_domination(spec: SuperSolutionSpec, traj: Trajectory, tol: float = 1e-6) -> DominationReport:
+def check_domination(spec: SuperSolutionSpec, traj: Trajectory) -> DominationReport:
     """Compare a stored trajectory against the closed-form super-solution.
 
     Front curves are checked at every recorded sample; fields need
@@ -248,10 +250,10 @@ def check_domination(spec: SuperSolutionSpec, traj: Trajectory, tol: float = 1e-
         viol_v = max(viol_v, float(np.max(snap.v - spec.vbar(snap.t, snap.x))))
 
     mu_plus_rho = spec.mu + spec.rho
-    dominated = max(viol_u, viol_v, viol_h, viol_g) <= tol
+    dominated = max(viol_u, viol_v, viol_h, viol_g) <= _DOMINATION_TOL
     return DominationReport(
         dominated=dominated,
-        tol=tol,
+        tol=_DOMINATION_TOL,
         max_violation_u=viol_u,
         max_violation_v=viol_v,
         max_violation_h=viol_h,

@@ -120,10 +120,8 @@ def test_criterion_04_unconditional_spreading():
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=1.0, b=0.5, c=0.5, mu=1e-4, rho=1e-4)
     init = InitialData.cosine(h0=0.2, amp_u=1e-3, amp_v=1e-3)
     t0 = time.perf_counter()
-    ctrl = RunControl(
-        horizon=500.0, n=400, record_every=10, stop_rule=make_dichotomy_stop(p, TENT, 500.0)
-    )
-    traj = run(p, init, TENT, ctrl)
+    ctrl = RunControl(horizon=500.0, n=400, record_every=10)
+    traj = run(p, init, TENT, ctrl, stop_rule=make_dichotomy_stop(p, TENT, 500.0))
     cls = classify(traj, p, TENT)
     elapsed = time.perf_counter() - t0
     ok = cls.verdict == "Spreading" and traj.t[-1] <= 500.0 and elapsed < 60.0
@@ -158,10 +156,8 @@ def vanishing_batch():
     for kind, a, h0, amp in _vanishing_cases():
         p = ModelParams(kind=kind, d1=1.0, d2=1.0, a=a, b=0.5, c=0.5, mu=5e-4, rho=5e-4)
         init = InitialData.cosine(h0=h0, amp_u=amp, amp_v=amp)
-        ctrl = RunControl(
-            horizon=40.0, n=64, record_every=10, stop_rule=make_dichotomy_stop(p, TENT, 40.0)
-        )
-        traj = run(p, init, TENT, ctrl)
+        ctrl = RunControl(horizon=40.0, n=64, record_every=10)
+        traj = run(p, init, TENT, ctrl, stop_rule=make_dichotomy_stop(p, TENT, 40.0))
         verdict = classify(traj, p, TENT).verdict
         batch.append((p, traj, verdict))
     return batch
@@ -256,7 +252,7 @@ def test_criterion_09_supersolution_domination():
     init = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
     barrier = build_vanishing_supersolution(p, init, TENT, h1=0.3)
     traj = run(p, init, TENT, RunControl(horizon=40.0, n=200, record_every=10, snapshot_every=50))
-    report = check_domination(barrier, traj, tol=1e-6)
+    report = check_domination(barrier, traj)
     ok = report.budget_ok and report.dominated
     worst = max(
         report.max_violation_u,

@@ -112,19 +112,6 @@ def test_ell_star_certificate_crafted():
     assert cls.fired_at == 2.0
 
 
-def test_override_crossing_without_true_bound_stays_undecided():
-    # spread_length pulled below both proven bounds: crossing it alone
-    # is not evidence, so no spreading certificate may be issued
-    p = _params(a=0.5)
-    tols = ClassifyTolerances(spread_length=0.5)
-    t = np.arange(4.0)
-    half = np.array([0.2, 0.24, 0.275, 0.275])  # crosses 0.5 in length, below 0.632
-    traj = _traj(t, half, [0.5] * 4, [0.5] * 4, [0.1] * 4)
-    cls = classify(traj, p, TENT, tols)
-    assert cls.verdict == UNDECIDED
-    assert cls.certificate == CERT_HORIZON
-
-
 def test_vanishing_plateau_crafted():
     p = _params(a=0.5)
     t = np.linspace(0.0, 100.0, 21)
@@ -142,17 +129,20 @@ def test_vanishing_plateau_crafted():
 
 
 def test_plateau_rejected_when_eigenvalue_positive():
-    # same decay profile, but the habitat is long enough to sustain
-    # growth (lambda_p + a > 0): the dichotomy audit forbids Vanishing
+    # same decay profile on a habitat just under ell* = 0.632, where
+    # lambda_p is about -0.007: with eigen_slack below that, the eigenvalue
+    # check alone forbids Vanishing
     p = _params(a=0.5)
-    tols = ClassifyTolerances(spread_length=10.0)  # suppress the length route
+    tols = ClassifyTolerances(eigen_slack=-0.01)
     t = np.linspace(0.0, 100.0, 21)
-    half = np.full(21, 1.25)  # length 2.5 < pi, but well above ell* = 0.632
+    half = np.full(21, 0.31)  # length 0.62
     sup = np.geomspace(1e-2, 1e-5, 21)
     traj = _traj(t, half, sup, sup, np.full(21, 1e-7))
     cls = classify(traj, p, TENT, tols)
     assert cls.verdict == UNDECIDED
-    assert cls.lambda_p_final > tols.eigen_slack
+    assert cls.certificate == CERT_HORIZON
+    assert tols.eigen_slack < cls.lambda_p_final < 0.0
+    assert classify(traj, p, TENT).verdict == VANISHING
 
 
 def test_undecided_when_norms_still_large():
@@ -167,9 +157,8 @@ def test_undecided_when_norms_still_large():
 
 def test_spreading_length_threshold():
     ell = ell_star_cached(1.0, 0.5, "tent", 1.0).ell_star
-    assert _spread_lengths(_params(a=0.5, d2=1.0), TENT) == (math.pi, ell, min(math.pi, ell))
-    # a >= d1: no critical length, so pi*sqrt(d2) alone sets the threshold
-    assert _spread_lengths(_params(a=2.0, d2=0.25), TENT) == (math.pi * 0.5, math.inf, math.pi * 0.5)
+    assert _spread_lengths(_params(a=0.5, d2=1.0), TENT) == (math.pi, ell)
+    assert _spread_lengths(_params(a=0.5, d2=0.01), TENT) == (math.pi * 0.1, ell)
 
 
 def test_ell_star_cache_hits():
@@ -200,6 +189,35 @@ def test_dichotomy_stop_rule_reasons():
     assert rule(young) is None
     fast_rule = make_dichotomy_stop(_params(a=2.0), TENT, horizon=40.0)
     assert fast_rule(young) == "a-rate-dominates"
+
+
+# stop reason -> (a, mu = rho, amp, horizon) of a tent run from h0 = 0.2,
+# 0.4 long, below pi and below ell* at a = 0.3 and 0.5
+_STOP_CASES = {
+    "a-rate-dominates": (1.0, 1e-3, 1e-3, 5.0),
+    "spreading-length": (0.5, 2.0, 0.3, 40.0),
+    "vanishing-plateau": (0.3, 5e-4, 5e-3, 40.0),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_STOP_CASES))
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_stop_reason_and_verdict_agree(kind, reason):
+    a, budget, amp, horizon = _STOP_CASES[reason]
+    p = _params(kind, a=a, mu=budget, rho=budget)
+    init = InitialData.cosine(h0=0.2, amp_u=amp, amp_v=amp)
+    stop = make_dichotomy_stop(p, TENT, horizon)
+    traj = run(p, init, TENT, RunControl(horizon=horizon, n=64, record_every=10), stop_rule=stop)
+    cls = classify(traj, p, TENT)
+    assert traj.termination == f"stop:{reason}"
+    if reason == "a-rate-dominates":
+        assert (cls.verdict, cls.certificate) == (SPREADING, CERT_A_RATE)
+    elif reason == "spreading-length":
+        assert cls.verdict == SPREADING
+        assert cls.certificate in (CERT_ELL_STAR, CERT_PI_SQRT_D2)
+        assert cls.fired_at == traj.t[-1]
+    else:
+        assert (cls.verdict, cls.certificate) == (VANISHING, CERT_PLATEAU)
 
 
 def test_threshold_preconditions():
@@ -259,7 +277,7 @@ def test_threshold_scale_verdicts_pinned_under_auto_dt(scale, verdict):
 def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
     calls = []
 
-    def failing_run(p, init, k, ctrl):
+    def failing_run(p, init, k, ctrl, stop_rule=None):
         calls.append(ctrl.dt)
         raise SolverFailure("stability bound violated")
 
@@ -290,7 +308,7 @@ def test_single_cell_sweep_matches_classify():
     p = _params(a=0.5)
     init = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
     stop = make_dichotomy_stop(p, TENT, 20.0)
-    traj = run(p, init, TENT, RunControl(horizon=20.0, n=64, record_every=10, stop_rule=stop))
+    traj = run(p, init, TENT, RunControl(horizon=20.0, n=64, record_every=10), stop_rule=stop)
     cls = classify(traj, p, TENT)
     assert row["verdict"] == cls.verdict
     assert row["certificate"] == cls.certificate
@@ -336,10 +354,10 @@ def test_sweep_rejects_unknown_axis():
     assert "unknown key 'sweep.b'" in str(err.value)
 
 
-def _scan_rule(horizon, tols):
+def _scan_rule(p, horizon, tols):
     """The stop rule with its trailing window found by a full scan of rec.t:
     the oracle for make_dichotomy_stop's bisection."""
-    threshold = tols.spread_length
+    threshold = min(_spread_lengths(p, TENT))
     window = tols.window_fraction * horizon
 
     def rule(rec):
@@ -363,13 +381,14 @@ def _scan_rule(horizon, tols):
 
 def test_stop_rule_window_by_bisection_matches_scan():
     p = _params(a=0.5)
-    tols = ClassifyTolerances(spread_length=5.0)
+    tols = ClassifyTolerances()
     horizon = 60.0
     rule = make_dichotomy_stop(p, TENT, horizon, tols)
-    oracle = _scan_rule(horizon, tols)
+    oracle = _scan_rule(p, horizon, tols)
     # record times 0.05 apart, so the window edge t_now - 6 often lands on a
     # record; sup norms decay through vanish_tol, with bursts at t = 38, 47
-    # that break the plateau for one window each
+    # that break the plateau for one window each; the habitat, 0.5 long,
+    # outgrows ell* = 0.632 after t = 58
     t = np.round(np.arange(1200) * 0.05, 10)
     sup = 0.5 * np.exp(-t / 4.0)
     sup[(t == 38.0) | (t == 47.0)] = 0.01
@@ -377,7 +396,7 @@ def test_stop_rule_window_by_bisection_matches_scan():
     rec = SimpleNamespace(t=[], g=[], h=[], gdot=[], hdot=[], sup_u=[], sup_v=[])
     reasons = []
     for i in range(len(t)):
-        for name, value in (("t", t[i]), ("g", -1.0), ("h", 1.0 + 3.5 * (t[i] > 58.0)),
+        for name, value in (("t", t[i]), ("g", -0.25), ("h", 0.25 + 3.5 * (t[i] > 58.0)),
                             ("gdot", -speed[i]), ("hdot", speed[i]),
                             ("sup_u", sup[i]), ("sup_v", 0.5 * sup[i])):
             getattr(rec, name).append(float(value))

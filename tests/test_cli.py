@@ -153,6 +153,17 @@ def test_critical_length_command(tmp_path, capsys):
     assert record["bracket"][0] <= record["ell_star"] <= record["bracket"][1]
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_critical_length_rejects_nonpositive_tol(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["critical-length", "--d1", "1.0", "--a", "0.5", "--tol", tol, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "tol must be a positive finite number" in err["message"]
+    assert not (out / "critical_length.json").exists()
+
+
 THRESHOLD_CFG = """\
 kernel.family = tent
 kernel.radius = 1.0
@@ -196,6 +207,16 @@ def test_sweep_command(tmp_path):
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert summary["cells"] == 4
     assert sum(summary["verdict_counts"].values()) == 4
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg = _write(tmp_path, BASE + "sweep.a = 0.5, 1.0\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"workers must be >= 1, got {workers}"}
+    assert not (out / "phase_table.csv").exists()
 
 
 def test_sweep_without_axes_is_config_error(tmp_path):
@@ -255,6 +276,14 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
 def test_unknown_key_exit_code(tmp_path):
     cfg = _write(tmp_path, BASE + "model.zz = 1\n")
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_spread_length_is_an_unknown_key(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE + "classify.spread_length = 0.5\n")
+    assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "unknown key 'classify.spread_length'" in err["message"]
 
 
 def test_bad_flag_value_exit_code(tmp_path, capsys):

@@ -191,16 +191,17 @@ def test_range_envelope():
     for d, theta0, ell in [(1.0, 0.5, 2.0), (0.7, -1.0, 5.0), (2.0, 0.0, 1.0)]:
         n = default_n(0.0, ell, TENT)
         spacing = ell / (n - 1)
-        lam = lambda_p_interval(d, theta0, 0.0, ell, TENT, n=n).lambda_p
+        lam = lambda_p_interval(d, theta0, 0.0, ell, TENT).lambda_p
         assert lam > theta0 - d
         assert lam <= theta0 + d * (spacing / TENT.radius) ** 2
 
 
 def test_grid_refinement_converges():
     # doubling intervals keeps the support-edge alignment; errors shrink
-    coarse = lambda_p_interval(1.0, 0.5, 0.0, 2.0, TENT, n=17).lambda_p
-    mid = lambda_p_interval(1.0, 0.5, 0.0, 2.0, TENT, n=33).lambda_p
-    fine = lambda_p_interval(1.0, 0.5, 0.0, 2.0, TENT, n=65).lambda_p
+    coarse, mid, fine = (
+        lambda_p(EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=2.0, n=n, kernel=TENT)).lambda_p
+        for n in (17, 33, 65)
+    )
     assert abs(mid - fine) < abs(coarse - mid)
 
 
@@ -230,7 +231,7 @@ def test_critical_length_zero_crossing():
     assert lo <= res.ell_star <= hi
     assert hi - lo < 1e-4
     # independent re-evaluation at the returned resolution
-    lam = lambda_p_interval(1.0, 0.5, 0.0, res.ell_star, TENT, n=res.n).lambda_p
+    lam = lambda_p(EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=res.ell_star, n=res.n, kernel=TENT)).lambda_p
     assert abs(lam) < 1e-6
 
 
@@ -264,9 +265,9 @@ def test_critical_length_regime_errors():
         critical_length(1.0, 1.0, TENT)  # a >= d1: no zero crossing
     with pytest.raises(RegimeError):
         critical_length(1.0, -0.1, TENT)
-    with pytest.raises(RegimeError):
-        # crossing would sit beyond the allowed search window
-        critical_length(1.0, 1e-9, TENT, ell_max=3.0)
+    with pytest.raises(RegimeError, match="no sign change found below ell_max=50"):
+        # at a = 1e-9 the crossing lies far past the 50-radius search window
+        critical_length(1.0, 1e-9, TENT)
 
 
 def test_failed_banded_solve_raises_convergence_error(monkeypatch):

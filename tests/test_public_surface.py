@@ -37,10 +37,13 @@ def test_star_import_binds_no_module_and_no_internal_name():
     assert not internal & bound.keys()
 
 
-def test_readme_quick_start_imports_are_public():
+def _readme_python_blocks() -> list:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        return re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+
+
+def test_readme_quick_start_imports_are_public():
+    blocks = _readme_python_blocks()
     imported = {
         alias.name
         for block in blocks
@@ -50,3 +53,12 @@ def test_readme_quick_start_imports_are_public():
     }
     assert imported
     assert not imported - set(frontlab.__all__)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    blocks = _readme_python_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # at a = 0.8 the 2.0-long start already exceeds ell* = 0.216
+    assert capsys.readouterr().out == "Spreading LengthExceedsEllStar\n"

@@ -347,14 +347,8 @@ def test_run_records_endpoints_and_samples():
 def test_run_stop_rule_and_termination_string():
     p = _params()
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
-    ctrl = RunControl(
-        horizon=10.0,
-        n=64,
-        dt=0.01,
-        record_every=10,
-        stop_rule=lambda rec: "probe" if rec.t[-1] >= 0.5 else None,
-    )
-    traj = run(p, init, TENT, ctrl)
+    ctrl = RunControl(horizon=10.0, n=64, dt=0.01, record_every=10)
+    traj = run(p, init, TENT, ctrl, stop_rule=lambda rec: "probe" if rec.t[-1] >= 0.5 else None)
     assert traj.termination == "stop:probe"
     assert traj.t[-1] < 1.0
 
