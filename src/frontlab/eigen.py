@@ -238,7 +238,9 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
             lo = mid
         else:
             hi = mid
-        if (hi - lo) < tol and abs(f_mid) < 1e-6:
+        # a tol below the spacing of doubles near ell* is never met: the
+        # bracket stops shrinking once lo and hi are adjacent doubles
+        if ((hi - lo) < tol or 0.5 * (lo + hi) in (lo, hi)) and abs(f_mid) < 1e-6:
             break
     else:
         raise ConvergenceError(

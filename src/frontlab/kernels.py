@@ -37,17 +37,17 @@ class Kernel:
         s = np.asarray(s, dtype=float)
         r = self.radius
         if self.family == "tent":
-            return np.clip(1.0 - np.abs(s) / r, 0.0, None) / r
+            return np.maximum(1.0 - np.abs(s) / r, 0.0) / r
         if self.family == "parabolic_bump":
-            return 0.75 / r * np.clip(1.0 - (s / r) ** 2, 0.0, None)
+            return 0.75 / r * np.maximum(1.0 - (s / r) ** 2, 0.0)
         # truncated_gaussian: edge value subtracted, then renormalized
         raw = np.exp(-_EDGE_EXPONENT * (s / r) ** 2) - math.exp(-_EDGE_EXPONENT)
-        return self._gauss_norm * np.clip(raw, 0.0, None)
+        return self._gauss_norm * np.maximum(raw, 0.0)
 
     def tail_mass(self, s):
         """Closed-form integral of J over [s, infinity), any real s (vectorized)."""
         s = np.asarray(s, dtype=float)
-        core = self._half_tail(np.clip(np.abs(s), 0.0, self.radius))
+        core = self._half_tail(np.minimum(np.abs(s), self.radius))
         return np.where(s >= 0.0, core, 1.0 - core)
 
     def _half_tail(self, s):
@@ -87,9 +87,18 @@ def nonlocal_apply(k: Kernel, spacing: float, f: np.ndarray) -> np.ndarray:
     """sum_j J((i-j)*spacing) * f_j at every node i of a uniform grid
     `spacing` apart.  J(x_i - x_j) depends only on i - j, so the operator
     is a banded Toeplitz convolution: J is sampled only at the offsets
-    inside its support and applied by direct convolution."""
+    inside its support and applied by direct convolution.
+
+    J is even and (-j)*spacing = -(j*spacing) exactly, so J is evaluated
+    at the m+1 offsets j >= 0 and mirrored.  When the support spans the
+    whole grid (m = len(f) - 1), the "valid" rows of the convolution are
+    exactly the len(f) rows kept; otherwise the full convolution is cut
+    down to them."""
     m = min(len(f) - 1, math.floor(k.radius / spacing))
-    taps = k(np.arange(-m, m + 1) * spacing)
+    half = k(np.arange(m + 1) * spacing)
+    taps = np.concatenate((half[:0:-1], half))
+    if m == len(f) - 1:
+        return np.convolve(f, taps, "valid")
     return np.convolve(f, taps)[m : m + len(f)]
 
 

@@ -160,8 +160,12 @@ def solve_banded(alpha: float, b: np.ndarray) -> np.ndarray:
     makes on that band, so the same bits, without the wrapper's per-call
     validation, which costs several times the solve at the step's sizes.
     Raises LinAlgError on an exactly singular pivot."""
-    off = np.full(len(b) - 1, -alpha)
-    x, info = _gtsv(off, np.full(len(b), 1.0 + 2.0 * alpha), off, b)[3:]
+    # empty + fill: np.full's Python-level wrapper costs more than the fill
+    off = np.empty(len(b) - 1)
+    off.fill(-alpha)
+    diag = np.empty(len(b))
+    diag.fill(1.0 + 2.0 * alpha)
+    x, info = _gtsv(off, diag, off, b)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -173,8 +177,10 @@ def _front_slopes(z: np.ndarray, dy: float, length: float) -> tuple[float, float
     """One-sided second-order v_x at the left and right fronts (physical x)."""
     scale = 2.0 / length
     # Dirichlet values z[0] = z[-1] = 0 are used explicitly
-    vx_left = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * dy) * scale
-    vx_right = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * dy) * scale
+    z0, z1, z2 = z[:3].tolist()
+    zn2, zn1, zn = z[-3:].tolist()
+    vx_left = (-3.0 * z0 + 4.0 * z1 - z2) / (2.0 * dy) * scale
+    vx_right = (3.0 * zn - 4.0 * zn1 + zn2) / (2.0 * dy) * scale
     return vx_left, vx_right
 
 
@@ -183,8 +189,11 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     mirrored expression at g.  The inner dispersal integral is collapsed
     into the kernel's closed-form tail mass; the outer integral is
     trapezoid over the m nodes within a radius (plus one) of the front, as
-    tail(s) is exactly 0 for s >= radius.  Sums use fsum so mirror-symmetric
-    states give gdot = -hdot exactly."""
+    tail(s) is exactly 0 for s >= radius.  The tail masses of both fronts
+    come from one call on a (2, m) array of front distances, and each
+    row is summed with one fsum: exactly rounded, so the row layout
+    cannot change the sum, and mirror-symmetric states give gdot = -hdot
+    exactly."""
     n = len(s.w) - 1
     y, wq_ref = reference_grid(n)
     length = s.h - s.g
@@ -192,9 +201,11 @@ def boundary_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, flo
     m = int(min(n + 1.0, k.radius * n / length + 2.0))
     x = 0.5 * (s.g + s.h) + y * 0.5 * length
     wq = wq_ref * (0.5 * length)
+    # row 0: the m nodes nearest h; row 1: the m nodes nearest g
+    tail = k.tail_mass(np.array((s.h - x[-m:], x[:m] - s.g)))
+    flux = np.array((wq[-m:], wq[:m])) * tail * np.array((s.w[-m:], s.w[:m]))
     # fsum of a list: the same doubles, so the same sum, at half the cost
-    flux_right = math.fsum((wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:]).tolist())
-    flux_left = math.fsum((wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m]).tolist())
+    flux_right, flux_left = map(math.fsum, flux.tolist())
     hdot = -p.mu * vx_right + p.rho * flux_right
     gdot = -p.mu * vx_left - p.rho * flux_left
     return gdot, hdot
@@ -215,16 +226,17 @@ class _Stepper:
 
     def step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
         """Advance s by dt with the start-of-step front velocities."""
-        p, k = self.p, self.k
+        p, k, n = self.p, self.k, self.n
         dy = self.dy
 
         g1 = s.g + dt * gdot
         h1 = s.h + dt * hdot
         # coefficients on the advanced geometry, start-of-step velocities
-        xi, zeta = transform_coefficients(g1, h1, gdot, hdot, self.n)
+        xi, zeta = transform_coefficients(g1, h1, gdot, hdot, n)
         length = h1 - g1
 
-        zeta_max = float(np.max(np.abs(zeta)))
+        # zeta is affine in y and rounding is monotone, so |zeta| peaks at an end node
+        zeta_max = float(max(abs(zeta[0]), abs(zeta[-1])))
         dt_cap = _dt_cap(_CFL, dy, zeta_max, self.rate_cap)
         if dt > dt_cap:
             raise SolverFailure(
@@ -236,29 +248,41 @@ class _Stepper:
         f1, f2 = reaction(p, w, z)
 
         # nonlocal operator on the mapped physical nodes, (h-g)/n apart
-        Ku = nonlocal_apply(k, length / self.n, self.wq_ref * (0.5 * length) * w)
+        Ku = nonlocal_apply(k, length / n, self.wq_ref * (0.5 * length) * w)
 
-        upwind_right = zeta[1:-1] > 0.0
-        dw = _upwind(w, upwind_right, dy)
-        w1 = w + dt * (zeta * dw + p.d1 * (Ku - w) + f1)
-        w1[0] = 0.0
-        w1[-1] = 0.0
-
-        dz = _upwind(z, upwind_right, dy)
-        rhs = z + dt * (zeta * dz + f2)
-        z1 = np.zeros_like(z)
+        # One pass for both fields over the interior nodes; the end values
+        # are the Dirichlet zeros.  Row 0 becomes
+        #   w1 = w + dt*(zeta*w_y + d1*(Ku - w) + f1),
+        # row 1 the v-solve's right-hand side z + dt*(zeta*z_y + f2), and
+        # then its solution.  The upwind derivative takes the forward
+        # difference where zeta > 0 and the backward one elsewhere: both
+        # are the node differences, shifted by one node.
+        wz = np.array((w, z))
+        diff = wz[:, 1:] - wz[:, :-1]
+        diff /= dy
+        zeta_in = zeta[1:-1]
+        out = np.zeros((2, n + 1))
+        inner = out[:, 1:-1]
+        np.multiply(zeta_in, np.where(zeta_in > 0.0, diff[:, 1:], diff[:, :-1]), out=inner)
+        inner[0] += p.d1 * (Ku[1:-1] - w[1:-1])
+        inner[0] += f1[1:-1]
+        inner[1] += f2[1:-1]
+        inner *= dt
+        inner += wz[:, 1:-1]
         alpha = dt * p.d2 * xi / (dy * dy)
         try:
-            z1[1:-1] = solve_banded(alpha, rhs[1:-1])
+            inner[1] = solve_banded(alpha, inner[1])
         except LinAlgError as exc:
             raise SolverFailure(f"tridiagonal solve failed at t={s.t}: {exc}") from exc
 
-        _clamp_roundoff(w1, s.t + dt, "u")
-        _clamp_roundoff(z1, s.t + dt, "v")
+        w1, z1 = out
+        if not out.min() >= 0.0:  # a negative value or a NaN: check each field
+            _clamp_roundoff(w1, s.t + dt, "u")
+            _clamp_roundoff(z1, s.t + dt, "v")
 
-        out = State(t=s.t + dt, g=g1, h=h1, w=w1, z=z1)
-        self._check_invariants(s, out, gdot, hdot)
-        return out
+        after = State(t=s.t + dt, g=g1, h=h1, w=w1, z=z1)
+        self._check_invariants(s, after, gdot, hdot)
+        return after
 
     def _check_invariants(self, before: State, after: State, gdot: float, hdot: float) -> None:
         # For nonnegative fields the front law gives hdot >= 0 >= gdot; the
@@ -278,17 +302,6 @@ class _Stepper:
             raise SolverFailure(f"u bound breached at t={after.t}: max u={wmax} > k1={self.bounds.k1}")
         if not (zmax <= self.bounds.k2 * (1.0 + _BOUND_SLACK)):
             raise SolverFailure(f"v bound breached at t={after.t}: max v={zmax} > k2={self.bounds.k2}")
-
-
-def _upwind(f: np.ndarray, upwind_right: np.ndarray, dy: float) -> np.ndarray:
-    """First-order upwind derivative for the term f_t = zeta*f_y + ...;
-    upwind_right = zeta[1:-1] > 0 marks the interior nodes that pull the
-    value from the right neighbor."""
-    d = np.zeros_like(f)
-    fwd = (f[2:] - f[1:-1]) / dy
-    bwd = (f[1:-1] - f[:-2]) / dy
-    d[1:-1] = np.where(upwind_right, fwd, bwd)
-    return d
 
 
 def _clamp_roundoff(f: np.ndarray, t: float, name: str) -> None:

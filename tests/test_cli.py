@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,19 @@ def test_critical_length_rejects_nonpositive_tol(tmp_path, capsys, tol):
     assert err["error"] == "ValueError"
     assert "tol must be a positive finite number" in err["message"]
     assert not (out / "critical_length.json").exists()
+
+
+def test_critical_length_tol_below_double_spacing_ends_on_adjacent_doubles(tmp_path):
+    # near ell* = 0.632 doubles are about 1.1e-16 apart, so hi - lo < 1e-17
+    # never holds; the bisection ends once the bracket is two adjacent doubles
+    out = tmp_path / "out"
+    code = main(["critical-length", "--d1", "1.0", "--a", "0.5", "--tol", "1e-17", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    record = json.loads((out / "critical_length.json").read_text())
+    lo, hi = record["bracket"]
+    assert math.nextafter(lo, math.inf) == hi
+    assert record["ell_star"] in (lo, hi)
+    assert abs(record["lambda_at_ell_star"]) < 1e-6
 
 
 THRESHOLD_CFG = """\

@@ -95,8 +95,11 @@ def test_first_moment_matches_quadrature(family, radius):
 
 
 # radius 0.9 over 17 nodes: the support spans the whole grid (offsets clamp
-# to 16), reaches 3 nodes, or leaves only the diagonal
-@pytest.mark.parametrize("spacing", [0.05, 0.25, 1.3], ids=["wider-than-grid", "few-nodes", "diagonal"])
+# to 16), reaches 12 nodes (more than half the grid), reaches 3 nodes, or
+# leaves only the diagonal
+@pytest.mark.parametrize(
+    "spacing", [0.05, 0.07, 0.25, 1.3], ids=["wider-than-grid", "over-half-grid", "few-nodes", "diagonal"]
+)
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_nonlocal_apply_matches_dense_offset_matrix(family, spacing):
     k = make_kernel(family, 0.9)
@@ -106,6 +109,28 @@ def test_nonlocal_apply_matches_dense_offset_matrix(family, spacing):
     got = nonlocal_apply(k, spacing, f)
     assert got.shape == f.shape
     assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(f))
+    # bit for bit the full convolution with J sampled at all 2m+1 offsets
+    m = min(len(f) - 1, math.floor(k.radius / spacing))
+    assert np.array_equal(got, np.convolve(f, k(np.arange(-m, m + 1) * spacing))[m : m + len(f)])
+
+
+@pytest.mark.parametrize("family", KNOWN_FAMILIES)
+def test_kernel_values_match_clip_formulas(family):
+    # J and its tail mass clamp with np.maximum and np.minimum; the bits are
+    # those of the np.clip forms, across the support edge and beyond
+    r = 1.3
+    k = make_kernel(family, r)
+    s = np.concatenate((np.linspace(-2.0, 2.0, 401), [-r, r, 0.0, -0.0, np.nextafter(r, 2.0)]))
+    if family == "tent":
+        want = np.clip(1.0 - np.abs(s) / r, 0.0, None) / r
+    elif family == "parabolic_bump":
+        want = 0.75 / r * np.clip(1.0 - (s / r) ** 2, 0.0, None)
+    else:
+        raw = np.exp(-4.5 * (s / r) ** 2) - math.exp(-4.5)
+        want = k._gauss_norm * np.clip(raw, 0.0, None)
+    assert np.array_equal(k(s), want)
+    core = k._half_tail(np.clip(np.abs(s), 0.0, r))
+    assert np.array_equal(k.tail_mass(s), np.where(s >= 0.0, core, 1.0 - core))
 
 
 def test_unknown_family_lists_choices():

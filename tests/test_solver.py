@@ -24,7 +24,7 @@ from frontlab import (
     solver,
 )
 from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
-from frontlab.model import field_bounds
+from frontlab.model import field_bounds, reaction
 from frontlab.solver import (
     State,
     auto_dt,
@@ -447,6 +447,91 @@ def test_fixed_domain_validation():
         fixed_domain_run(1.0, 0.5, (0.0, 4.0), np.full(5, 0.1), TENT, 1.0)
     with pytest.raises(ValueError):
         fixed_domain_run(1.0, 0.5, (0.0, 4.0), x * 0 - 1.0, TENT, 1.0)
+
+
+def _oracle_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
+    """The front law evaluated one front at a time: one tail_mass call and
+    one fsum per front, the v-slopes in numpy scalars."""
+    n = len(s.w) - 1
+    y, wq_ref = reference_grid(n)
+    length = s.h - s.g
+    dy, scale = 2.0 / n, 2.0 / length
+    vx_left = (-3.0 * s.z[0] + 4.0 * s.z[1] - s.z[2]) / (2.0 * dy) * scale
+    vx_right = (3.0 * s.z[-1] - 4.0 * s.z[-2] + s.z[-3]) / (2.0 * dy) * scale
+    m = int(min(n + 1.0, k.radius * n / length + 2.0))
+    x = 0.5 * (s.g + s.h) + y * 0.5 * length
+    wq = wq_ref * (0.5 * length)
+    flux_right = math.fsum(wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:])
+    flux_left = math.fsum(wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m])
+    return -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
+
+
+def _oracle_step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
+    """_Stepper.step written field by field on full-length arrays: the
+    nonlocal operator as the full convolution with taps at all 2m+1
+    offsets, one upwind pass per field, max |zeta| over every node and
+    the v-solve through scipy.linalg.solve_banded."""
+    p, k, n, dy = self.p, self.k, self.n, self.dy
+    g1, h1 = s.g + dt * gdot, s.h + dt * hdot
+    xi, zeta = transform_coefficients(g1, h1, gdot, hdot, n)
+    length = h1 - g1
+    assert dt <= solver._dt_cap(solver._CFL, dy, float(np.max(np.abs(zeta))), self.rate_cap)
+    w, z = s.w, s.z
+    f1, f2 = reaction(p, w, z)
+    mk = min(n, math.floor(k.radius / (length / n)))
+    taps = k(np.arange(-mk, mk + 1) * (length / n))
+    Ku = np.convolve(self.wq_ref * (0.5 * length) * w, taps)[mk : mk + n + 1]
+
+    def upwind(f):
+        d = np.zeros_like(f)
+        d[1:-1] = np.where(zeta[1:-1] > 0.0, (f[2:] - f[1:-1]) / dy, (f[1:-1] - f[:-2]) / dy)
+        return d
+
+    w1 = w + dt * (zeta * upwind(w) + p.d1 * (Ku - w) + f1)
+    w1[0] = w1[-1] = 0.0
+    rhs = z + dt * (zeta * upwind(z) + f2)
+    alpha = dt * p.d2 * xi / (dy * dy)
+    band = np.empty((3, n - 1))
+    band[0] = band[2] = -alpha
+    band[1] = 1.0 + 2.0 * alpha
+    z1 = np.zeros_like(z)
+    z1[1:-1] = scipy.linalg.solve_banded((1, 1), band, rhs[1:-1])
+    solver._clamp_roundoff(w1, s.t + dt, "u")
+    solver._clamp_roundoff(z1, s.t + dt, "v")
+    return State(t=s.t + dt, g=g1, h=h1, w=w1, z=z1)
+
+
+# radius-1 kernels on n = 64 intervals: a habitat shorter than the radius
+# (the kernel spans the grid, m = n), between one and two radii
+# (n/2 < m < n), and longer than two radii (m < n/2)
+@pytest.mark.parametrize("h0", [0.4, 0.75, 1.5], ids=["m=n", "n/2<m<n", "m<n/2"])
+@pytest.mark.parametrize("dt", [0.004, None], ids=["fixed-dt", "auto-dt"])
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_step_and_velocities_match_field_by_field_oracle(monkeypatch, family, kind, dt, h0):
+    p = _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=0.3, rho=2.0)
+
+    def profile(amp, tilt):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return amp * np.clip(np.cos(0.5 * np.pi * x / h0), 0.0, None) * (1.0 + tilt * np.sin(np.pi * x / h0))
+
+        return f
+
+    init = InitialData(h0, profile(0.6, 0.4), profile(0.5, -0.3))
+    k = make_kernel(family, 1.0)
+    ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=1, snapshot_every=7)
+    got = run(p, init, k, ctrl)
+    monkeypatch.setattr(solver, "boundary_velocities", _oracle_velocities)
+    monkeypatch.setattr(solver._Stepper, "step", _oracle_step)
+    want = run(p, init, k, ctrl)
+    assert got.termination == want.termination == "horizon"
+    assert got.h[-1] - got.h[0] > 1e-3  # the fronts moved
+    for name in solver.TRAJECTORY_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.snapshots) == len(want.snapshots) > 1
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 @pytest.mark.parametrize("m", [7, 119, 199])
