@@ -31,8 +31,9 @@ from .eigen import CriticalLengthResult, critical_length, lambda_p_interval
 from .errors import InconclusiveError, RegimeError, SolverFailure
 from .kernels import Kernel, make_kernel
 from .model import InitialData, ModelParams
-# auto_dt is unused here but stays imported: bench/tracer.py SITES wrap frontlab.classify.auto_dt
-from .solver import RunControl, Trajectory, auto_dt, run  # noqa: F401
+# auto_dt and run are unused here but stay imported: bench/tracer.py SITES wrap
+# frontlab.classify.auto_dt and frontlab.classify.run
+from .solver import RunControl, Trajectory, auto_dt, run, run_batch  # noqa: F401
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -200,29 +201,50 @@ class ThresholdEstimate:
     scanned: list = field(default_factory=list)  # (scale, verdict) pairs, sorted
 
 
-def _run_classified(
-    p: ModelParams, init: InitialData, k: Kernel, ctrl: RunControl, tols: ClassifyTolerances
-) -> Classification:
-    """Run under the dichotomy stop rule, then classify the trajectory."""
-    stop = make_dichotomy_stop(p, k, ctrl.horizon, tols)
-    return classify(run(p, init, k, ctrl, stop_rule=stop), p, k, tols)
+def _run_classified(jobs: list, k: Kernel, ctrl: RunControl, tols: ClassifyTolerances) -> list:
+    """Run jobs, (p, init) pairs, as one batch, each under its dichotomy
+    stop rule, then classify each trajectory.  Returns, in job order, each
+    Classification, or the exception that ended the run or its
+    classification."""
+    out: list = [None] * len(jobs)
+    runs = []
+    for i, (p, init) in enumerate(jobs):
+        try:
+            runs.append((i, (p, init, make_dichotomy_stop(p, k, ctrl.horizon, tols))))
+        except Exception as exc:  # this job's own failure, for its caller to raise or report
+            out[i] = exc
+    for (i, (p, _, _)), res in zip(runs, run_batch([job for _, job in runs], k, ctrl)):
+        if not isinstance(res, Exception):
+            try:
+                res = classify(res, p, k, tols)
+            except Exception as exc:  # as above
+                res = exc
+        out[i] = res
+    return out
 
 
-def _classify_at_scale(
+def _classify_at_scales(
     p: ModelParams,
     init: InitialData,
     k: Kernel,
-    scale: float,
+    scales: list,
     ray: tuple[float, float],
     ctrl: ScanControl,
     tols: ClassifyTolerances,
-) -> str:
-    p_s = replace(p, mu=scale * ray[0], rho=scale * ray[1])
+) -> list[str]:
+    """The verdict at each budget scale, the scales run as one batch; a
+    SolverFailure makes its scale Undecided."""
     rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
-    try:
-        return _run_classified(p_s, init, k, rc, tols).verdict
-    except SolverFailure:
-        return UNDECIDED
+    jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
+    verdicts = []
+    for res in _run_classified(jobs, k, rc, tols):
+        if isinstance(res, SolverFailure):
+            verdicts.append(UNDECIDED)
+        elif isinstance(res, Exception):
+            raise res
+        else:
+            verdicts.append(res.verdict)
+    return verdicts
 
 
 def estimate_threshold(
@@ -262,10 +284,8 @@ def estimate_threshold(
             "spreading happens for every budget"
         )
 
-    records: dict[float, str] = {}
-    scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points)
-    for s in scales:
-        records[float(s)] = _classify_at_scale(p, init, k, float(s), ray, ctrl, tols)
+    scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points).tolist()
+    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl, tols)))
 
     def verdicts():
         return sorted(records.items())
@@ -297,7 +317,7 @@ def estimate_threshold(
         if upper / lower <= _SCAN_RATIO_TOL:
             break
         mid = math.sqrt(lower * upper)
-        verdict = _classify_at_scale(p, init, k, mid, ray, ctrl, tols)
+        (verdict,) = _classify_at_scales(p, init, k, [mid], ray, ctrl, tols)
         records[mid] = verdict
         if verdict == VANISHING:
             lower = mid
@@ -336,11 +356,10 @@ class PhaseTable:
     rows: list  # list of dicts keyed by columns
 
 
-def _sweep_cell(cell: tuple) -> dict:
-    """One sweep job: the base config with the cell's axis values applied,
-    run and classified.  cell is (base RunConfig, {axis: value}).
-    Failures, a bad axis value included, become a row with verdict
-    'Failed' instead of aborting the sweep."""
+def _sweep_cell(cell: tuple) -> tuple[dict, object]:
+    """One sweep cell, (base RunConfig, {axis: value}), set up: its row with
+    the axis values filled in, and its job, (model, initial data) with the
+    cell's axis values applied, or the exception building them raised."""
     cfg, axes = cell
     out = {
         name: axes.get(name, cfg.h0 if name == "h0" else getattr(cfg.model, name))
@@ -349,32 +368,52 @@ def _sweep_cell(cell: tuple) -> dict:
     try:
         model_axes = {name: value for name, value in axes.items() if name != "h0"}
         cfg = replace(cfg, model=replace(cfg.model, **model_axes), h0=out["h0"])
-        ctrl = replace(cfg.numerics, snapshot_every=0)
-        cls = _run_classified(cfg.model, cfg.init_data(), cfg.kernel, ctrl, cfg.tols)
-        out.update(
-            verdict=cls.verdict,
-            certificate=cls.certificate,
-            final_length=cls.final_length,
-            sup_u=cls.final_sup_u,
-            sup_v=cls.final_sup_v,
-            lambda_p_final=cls.lambda_p_final,
-        )
+        return out, (cfg.model, cfg.init_data())
     except Exception as exc:  # per-cell failures are data, not crashes
-        out.update(
-            verdict="Failed",
-            certificate=type(exc).__name__,
-            final_length=math.nan,
-            sup_u=math.nan,
-            sup_v=math.nan,
-            lambda_p_final=math.nan,
-        )
-    return out
+        return out, exc
+
+
+def _sweep_batch(cells: list) -> list[dict]:
+    """One sweep job: the cells' runs advanced as one batch and classified,
+    one row per cell in the order given.  Failures, a bad axis value
+    included, become a row with verdict 'Failed' instead of aborting the
+    sweep."""
+    cfg = cells[0][0]
+    prepared = [_sweep_cell(cell) for cell in cells]
+    jobs = [job for _, job in prepared if not isinstance(job, Exception)]
+    ctrl = replace(cfg.numerics, snapshot_every=0)
+    results = iter(_run_classified(jobs, cfg.kernel, ctrl, cfg.tols))
+    rows = []
+    for out, job in prepared:
+        res = job if isinstance(job, Exception) else next(results)
+        if isinstance(res, Exception):
+            out.update(
+                verdict="Failed",
+                certificate=type(res).__name__,
+                final_length=math.nan,
+                sup_u=math.nan,
+                sup_v=math.nan,
+                lambda_p_final=math.nan,
+            )
+        else:
+            out.update(
+                verdict=res.verdict,
+                certificate=res.certificate,
+                final_length=res.final_length,
+                sup_u=res.final_sup_u,
+                sup_v=res.final_sup_v,
+                lambda_p_final=res.lambda_p_final,
+            )
+        rows.append(out)
+    return rows
 
 
 def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
-    top of cfg.  Cells are expanded row-major in SWEEP_AXES order, and
-    the output keeps that order no matter how many workers run or in what
+    top of cfg.  Cells are expanded row-major in SWEEP_AXES order and dealt
+    round-robin into min(workers, cells) batches: one runs in-process, more
+    run one per pool process.  The output keeps the row-major order, and
+    each row is bit-identical, no matter how many workers run or in what
     order they finish."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -383,9 +422,12 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
         (cfg, dict(zip(names, combo)))
         for combo in product(*(cfg.sweep_axes[name] for name in names))
     ]
-    if workers == 1:
-        rows = list(map(_sweep_cell, cells))
+    batches = min(workers, len(cells))
+    if batches == 1:
+        rows = _sweep_batch(cells)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        rows = [None] * len(cells)
+        with ProcessPoolExecutor(max_workers=batches) as pool:
+            for i, part in enumerate(pool.map(_sweep_batch, [cells[j::batches] for j in range(batches)])):
+                rows[i::batches] = part
     return PhaseTable(columns=PHASE_COLUMNS, rows=rows)

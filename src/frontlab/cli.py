@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from .classify import classify, estimate_threshold, make_dichotomy_stop, sweep
 from .config import RunConfig, load_config
@@ -268,7 +269,9 @@ def cmd_critical_length(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="frontlab",
         description="Numerical laboratory for a nonlocal/local two-species free boundary problem",

@@ -83,23 +83,40 @@ def trapezoid_weights(nodes: int, spacing: float) -> np.ndarray:
     return w
 
 
+def support_offsets(k: Kernel, spacing: float, nodes: int) -> int:
+    """The largest offset j with j*spacing inside J's support on a grid of
+    `nodes` uniform samples `spacing` apart: nodes - 1 at most."""
+    return min(nodes - 1, math.floor(k.radius / spacing))
+
+
+def kernel_taps(k: Kernel, spacing, m: int) -> np.ndarray:
+    """J at the 2m+1 offsets j*spacing, j = -m..m: shape (2m+1,) for a float
+    spacing, (B, 2m+1) for a (B, 1) column of spacings.  J is even and
+    (-j)*spacing = -(j*spacing) exactly, so J is evaluated at the m+1
+    offsets j >= 0 and mirrored; each entry is J(j*spacing) whatever the
+    shape, as every operation is elementwise."""
+    half = k(np.arange(m + 1) * spacing)
+    return np.concatenate((half[..., :0:-1], half), axis=-1)
+
+
+def apply_taps(f: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """sum_j taps[m + i - j] * f_j at every node i, for 2m+1 taps with
+    m <= len(f) - 1.  When m = len(f) - 1, the "valid" rows of the
+    convolution are exactly the len(f) rows kept; otherwise the full
+    convolution is cut down to them."""
+    m = len(taps) // 2
+    if m == len(f) - 1:
+        return np.convolve(f, taps, "valid")
+    return np.convolve(f, taps)[m : m + len(f)]
+
+
 def nonlocal_apply(k: Kernel, spacing: float, f: np.ndarray) -> np.ndarray:
     """sum_j J((i-j)*spacing) * f_j at every node i of a uniform grid
     `spacing` apart.  J(x_i - x_j) depends only on i - j, so the operator
     is a banded Toeplitz convolution: J is sampled only at the offsets
-    inside its support and applied by direct convolution.
-
-    J is even and (-j)*spacing = -(j*spacing) exactly, so J is evaluated
-    at the m+1 offsets j >= 0 and mirrored.  When the support spans the
-    whole grid (m = len(f) - 1), the "valid" rows of the convolution are
-    exactly the len(f) rows kept; otherwise the full convolution is cut
-    down to them."""
-    m = min(len(f) - 1, math.floor(k.radius / spacing))
-    half = k(np.arange(m + 1) * spacing)
-    taps = np.concatenate((half[:0:-1], half))
-    if m == len(f) - 1:
-        return np.convolve(f, taps, "valid")
-    return np.convolve(f, taps)[m : m + len(f)]
+    inside its support and applied by direct convolution."""
+    m = support_offsets(k, spacing, len(f))
+    return apply_taps(f, kernel_taps(k, spacing, m))
 
 
 def make_kernel(family: str, radius: float = 1.0) -> Kernel:

@@ -37,15 +37,32 @@ class ModelParams:
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {val!r}")
 
+    @property
+    def rates(self) -> np.ndarray:
+        """reaction()'s growth rates (a, 1) of u and v, as a (2, 1) column."""
+        return np.array(((self.a,), (1.0,)))
 
-def reaction(params: ModelParams, u, v):
-    """Reaction terms (f1, f2) evaluated pointwise (vectorized)."""
-    f1 = u * (params.a - u - params.b * v)
-    if params.kind == "competition":
-        f2 = v * (1.0 - v - params.c * u)
-    else:
-        f2 = v * (1.0 - v + params.c * u)
-    return f1, f2
+    @property
+    def couplings(self) -> np.ndarray:
+        """reaction()'s couplings of u to v and of v to u, as a (2, 1)
+        column: b, and c for competition or -c for predation (u the prey)."""
+        return np.array(((self.b,), (self.c if self.kind == "competition" else -self.c,)))
+
+
+def reaction(params, fields: np.ndarray) -> np.ndarray:
+    """Reaction terms (f1, f2) evaluated pointwise, stacked like fields,
+    which holds u and v along axis -2:
+
+        f1 = u * (a - u - b*v),
+        f2 = v * (1 - v - c*u) for competition, v * (1 - v + c*u) for predation;
+
+    each is f_i = x_i * (rate_i - x_i - coupling_i * x_j), x_j the other
+    species.  params supplies rates and couplings that broadcast against
+    fields: a ModelParams gives (2, 1) columns; a batch of runs gives
+    (B, 2, 1), one row per run.  For predation 1 - v - (-c)*u equals
+    1 - v + c*u exactly: negation is exact and x - (-y) is x + y in
+    floating point."""
+    return fields * (params.rates - fields - params.couplings * fields[..., ::-1, :])
 
 
 def in_weak_regime(params: ModelParams) -> bool:

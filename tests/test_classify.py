@@ -268,26 +268,36 @@ def test_threshold_one_sided_scans_inconclusive():
 def test_threshold_scale_verdicts_pinned_under_auto_dt(scale, verdict):
     # criterion-08 setup (competition, tent, h0 = 0.3) with the default scan
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    got = classify_module._classify_at_scale(
-        _params(), init, TENT, scale, (0.5, 0.5), ScanControl(), ClassifyTolerances()
+    got = classify_module._classify_at_scales(
+        _params(), init, TENT, [scale], (0.5, 0.5), ScanControl(), ClassifyTolerances()
     )
-    assert got == verdict
+    assert got == [verdict]
+
+
+def test_threshold_scales_batched_match_one_at_a_time():
+    # the three pinned scales as one batch give each scale's own verdict
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    scales = [11.78768634793589, 17.06643681296347, 24.709112279856093]
+    got = classify_module._classify_at_scales(
+        _params(), init, TENT, scales, (0.5, 0.5), ScanControl(), ClassifyTolerances()
+    )
+    assert got == [VANISHING, VANISHING, SPREADING]
 
 
 def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
     calls = []
 
-    def failing_run(p, init, k, ctrl, stop_rule=None):
-        calls.append(ctrl.dt)
-        raise SolverFailure("stability bound violated")
+    def failing_run_batch(jobs, k, ctrl):
+        calls.append((len(jobs), ctrl.dt))
+        return [SolverFailure("stability bound violated") for _ in jobs]
 
-    monkeypatch.setattr(classify_module, "run", failing_run)
+    monkeypatch.setattr(classify_module, "run_batch", failing_run_batch)
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    got = classify_module._classify_at_scale(
-        _params(), init, TENT, 17.0, (0.5, 0.5), ScanControl(), ClassifyTolerances()
+    got = classify_module._classify_at_scales(
+        _params(), init, TENT, [17.0], (0.5, 0.5), ScanControl(), ClassifyTolerances()
     )
-    assert got == UNDECIDED
-    assert calls == [None]  # one dt = auto attempt
+    assert got == [UNDECIDED]
+    assert calls == [(1, None)]  # one dt = auto attempt
 
 
 def _sweep_config(axes: str, horizon: float = 20.0):
@@ -323,10 +333,28 @@ def test_sweep_row_major_order_and_columns():
 
 
 def test_sweep_deterministic_across_worker_counts():
+    # 4 cells: one batch in-process, 2 and 3 batches in a pool, and more
+    # workers than cells
     cfg = _sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0)
     serial = phase_csv(sweep(cfg, workers=1))
-    parallel = phase_csv(sweep(cfg, workers=3))
-    assert serial == parallel  # byte-identical
+    for workers in (2, 3, 5):
+        assert phase_csv(sweep(cfg, workers=workers)) == serial  # byte-identical
+
+
+def test_sweep_starts_no_more_processes_than_batches(monkeypatch):
+    started = []
+    real = classify_module.ProcessPoolExecutor
+
+    def recording(max_workers=None, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(classify_module, "ProcessPoolExecutor", recording)
+    cfg = _sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0)
+    pooled = sweep(cfg, workers=8)
+    assert started == [2]  # two cells, two batches
+    assert phase_csv(sweep(cfg, workers=1)) == phase_csv(pooled)
+    assert started == [2]  # one batch runs in-process
 
 
 def test_sweep_a_rate_row_all_spreading():

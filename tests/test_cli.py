@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from frontlab import lambda_p_interval, make_kernel
+from frontlab import cli, lambda_p_interval, make_kernel
 from frontlab.config import render_config
 from frontlab.cli import (
     EXIT_CONFIG,
@@ -346,6 +346,34 @@ def test_automatic_h1_regime_error_names_half_the_critical_length(tmp_path, caps
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _outcome(argv, out, capsys):
+    """main(argv) writing into out: exit code, stdout, stderr and the files written."""
+    try:
+        code = main(argv + ["--out-dir", str(out)])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    std = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
+    return code, std.out, std.err, files
+
+
+def test_parser_built_once_serves_every_call_as_a_fresh_one(tmp_path, capsys):
+    calls = [
+        ["eigen", "--d", "1", "--theta0", "0.5", "--length", "4"],
+        ["critical-length", "--d1", "1", "--a", "0.5"],
+        ["eigen", "--d", "1", "--theta0", "0.5"],  # usage error: --length is required
+    ]
+    cli.build_parser.cache_clear()
+    in_sequence = [_outcome(argv, tmp_path / f"seq{i}", capsys) for i, argv in enumerate(calls)]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [outcome[0] for outcome in in_sequence] == [EXIT_OK, EXIT_OK, EXIT_CONFIG]
+    assert in_sequence[0][3].keys() == {"eigen.json"} and in_sequence[1][3].keys() == {"critical_length.json"}
+    assert "the following arguments are required: --length" in in_sequence[2][2]
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()
+        assert _outcome(argv, tmp_path / f"fresh{i}", capsys) == in_sequence[i]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

@@ -1,6 +1,7 @@
 """Reaction terms, parameter regimes, and a-priori bounds by hand computation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ def _params(kind="competition", **kw):
 
 
 def test_reaction_competition_hand_values():
-    f1, f2 = reaction(_params(), 0.3, 0.2)
+    (f1,), (f2,) = reaction(_params(), np.array([[0.3], [0.2]]))
     assert f1 == pytest.approx(0.3 * (0.8 - 0.3 - 0.5 * 0.2), abs=1e-15)
     assert f2 == pytest.approx(0.2 * (1.0 - 0.2 - 0.5 * 0.3), abs=1e-15)
 
 
 def test_reaction_predation_coupling_sign():
-    f1, f2 = reaction(_params("predation"), 0.3, 0.2)
+    (f1,), (f2,) = reaction(_params("predation"), np.array([[0.3], [0.2]]))
     assert f1 == pytest.approx(0.3 * (0.8 - 0.3 - 0.5 * 0.2), abs=1e-15)
     # prey density boosts the predator: +c*u instead of -c*u
     assert f2 == pytest.approx(0.2 * (1.0 - 0.2 + 0.5 * 0.3), abs=1e-15)
@@ -31,9 +32,27 @@ def test_reaction_predation_coupling_sign():
 def test_reaction_vectorizes():
     u = np.array([0.0, 0.5])
     v = np.array([0.2, 0.0])
-    f1, f2 = reaction(_params(), u, v)
+    f1, f2 = reaction(_params(), np.array([u, v]))
     assert f1.shape == (2,) and f2.shape == (2,)
     assert f1[0] == 0.0 and f2[1] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_reaction_of_stacked_runs_matches_each_run(kind):
+    # a batch stacks runs along axis 0, with its own rates and couplings per row
+    rng = np.random.default_rng(3)
+    fields = rng.uniform(0.0, 1.5, size=(3, 2, 9))
+    params = [_params(kind, a=a, b=b, c=c) for a, b, c in ((0.8, 0.5, 0.5), (0.3, 0.9, 0.1), (1.7, 0.2, 2.0))]
+    batch = SimpleNamespace(
+        rates=np.array([p.rates for p in params]), couplings=np.array([p.couplings for p in params])
+    )
+    for (f1, f2), (u, v), p in zip(reaction(batch, fields), fields, params):
+        # the per-species formulas written out, bit for bit
+        assert np.array_equal(f1, u * (p.a - u - p.b * v))
+        if kind == "competition":
+            assert np.array_equal(f2, v * (1.0 - v - p.c * u))
+        else:
+            assert np.array_equal(f2, v * (1.0 - v + p.c * u))
 
 
 @pytest.mark.parametrize("field", ["d1", "d2", "a", "b", "c", "mu", "rho"])

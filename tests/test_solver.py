@@ -24,23 +24,31 @@ from frontlab import (
     solver,
 )
 from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
-from frontlab.model import field_bounds, reaction
-from frontlab.solver import (
-    State,
-    auto_dt,
-    boundary_velocities,
-    initial_state,
-    reference_grid,
-    transform_coefficients,
-)
+from frontlab.model import field_bounds
+from frontlab.solver import State, auto_dt, initial_state, reference_grid
 
 TENT = make_kernel("tent", 1.0)
 
 
+def _batch(p: ModelParams, k: Kernel, s: State) -> solver._Batch:
+    """A batch of one row holding s, as run() builds it."""
+    return solver._Batch(k, [solver._Row(p, s)], np.array([(s.w, s.z)]))
+
+
+def velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
+    """(gdot, hdot) at s from the solver's front law."""
+    return solver.boundary_velocities(_batch(p, k, s))[0]
+
+
 def step(s: State, p: ModelParams, k: Kernel, dt: float) -> State:
     """One IMEX Euler step from s, with the field bounds taken from s as initial data."""
-    gdot, hdot = boundary_velocities(s, p, k)
-    return solver._Stepper(p, k, s).step(s, dt, gdot, hdot)
+    batch = _batch(p, k, s)
+    row = batch.rows[0]
+    row.gdot, row.hdot = solver.boundary_velocities(batch)[0]
+    failed = batch.step([dt])
+    if failed:
+        raise failed[0][1]
+    return batch.state(0)
 
 
 def fixed_domain_run(d, theta0, interval, u0, k, T, dt=None):
@@ -166,7 +174,7 @@ def test_boundary_velocities_against_quadrature_oracle():
     amp = 0.6
     z = amp * (1.0 - y * y)
     s = State(t=0.0, g=g, h=h, w=w, z=z)
-    gdot, hdot = boundary_velocities(s, p, TENT)
+    gdot, hdot = velocities(s, p, TENT)
 
     # v is the parabola amp*(1-y^2); its one-sided slope at the fronts is exact
     vx_h = -2.0 * amp * 2.0 / length
@@ -188,7 +196,7 @@ def test_boundary_velocities_against_quadrature_oracle():
 
 def test_zero_fields_are_stationary():
     s = State(t=0.0, g=-1.0, h=1.0, w=np.zeros(101), z=np.zeros(101))
-    gdot, hdot = boundary_velocities(s, _params(), TENT)
+    gdot, hdot = velocities(s, _params(), TENT)
     assert gdot == 0.0 and hdot == 0.0
     s2 = step(s, _params(), TENT, dt=0.01)
     assert s2.g == -1.0 and s2.h == 1.0
@@ -201,7 +209,7 @@ def test_front_advance_below_half_ulp_is_not_a_monotonicity_violation():
     init = InitialData.cosine(h0=0.6, amp_u=1e-20, amp_v=1e-20)
     s = initial_state(init, 120)
     p = _params(a=0.5, mu=0.01, rho=0.01)
-    gdot, hdot = boundary_velocities(s, p, TENT)
+    gdot, hdot = velocities(s, p, TENT)
     assert hdot > 0.0 > gdot
     s2 = step(s, p, TENT, dt=0.05)
     assert s2.h == s.h and s2.g == s.g
@@ -239,7 +247,7 @@ def test_mirror_symmetry_preserved():
     assert abs(s.g + s.h) <= 1e-10
     np.testing.assert_allclose(s.w, s.w[::-1], atol=1e-10)
     np.testing.assert_allclose(s.z, s.z[::-1], atol=1e-10)
-    gdot, hdot = boundary_velocities(s, p, TENT)
+    gdot, hdot = velocities(s, p, TENT)
     assert abs(gdot + hdot) <= 1e-12
 
 
@@ -299,12 +307,12 @@ def test_auto_dt_first_step_and_speed_change_guard():
     gdot, hdot = -0.2, 0.2
     cap = solver._dt_cap(0.9 * solver._CFL, 2.0 / 64, 2.0 / (s.h - s.g) * 0.2, rate_cap)
     # no previous step: a fraction of the stability bound
-    assert auto_dt(s, gdot, hdot, rate_cap, None) == solver._SPEED_CHANGE * cap
+    assert auto_dt(64, s.h - s.g, gdot, hdot, rate_cap, None) == solver._SPEED_CHANGE * cap
     # speeds that did not change leave the stability bound
-    assert auto_dt(s, gdot, hdot, rate_cap, (gdot, hdot, 1e-3)) == cap
+    assert auto_dt(64, s.h - s.g, gdot, hdot, rate_cap, (gdot, hdot, 1e-3)) == cap
     # h' changed by 0.1 over a step of 1e-3; the next step may change it by
     # _SPEED_CHANGE of the larger speed, 0.3
-    dt = auto_dt(s, gdot, hdot, rate_cap, (-0.2, 0.3, 1e-3))
+    dt = auto_dt(64, s.h - s.g, gdot, hdot, rate_cap, (-0.2, 0.3, 1e-3))
     assert dt == pytest.approx(solver._SPEED_CHANGE * 0.3 * 1e-3 / 0.1)
     assert dt < cap
 
@@ -449,9 +457,23 @@ def test_fixed_domain_validation():
         fixed_domain_run(1.0, 0.5, (0.0, 4.0), x * 0 - 1.0, TENT, 1.0)
 
 
+def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int) -> tuple[float, np.ndarray]:
+    """Mapped-frame coefficients on the habitat [g, h] with n reference
+    intervals: xi = (2/(h-g))^2 and the per-node advection speed
+    zeta_i = (2/(h-g)) * x_t(t, y_i), for one run."""
+    length = h - g
+    if not (length > 0):
+        raise SolverFailure(f"degenerate domain: g={g}, h={h}")
+    y = reference_grid(n)[0]
+    x_t = 0.5 * (gdot + hdot) + y * 0.5 * (hdot - gdot)
+    scale = 2.0 / length
+    return scale * scale, scale * x_t
+
+
 def _oracle_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
-    """The front law evaluated one front at a time: one tail_mass call and
-    one fsum per front, the v-slopes in numpy scalars."""
+    """The front law evaluated one front at a time on one state: one
+    tail_mass call and one fsum per front, x and the weights over every
+    node, the v-slopes in numpy scalars."""
     n = len(s.w) - 1
     y, wq_ref = reference_grid(n)
     length = s.h - s.g
@@ -466,39 +488,127 @@ def _oracle_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, floa
     return -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
 
 
-def _oracle_step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
-    """_Stepper.step written field by field on full-length arrays: the
-    nonlocal operator as the full convolution with taps at all 2m+1
-    offsets, one upwind pass per field, max |zeta| over every node and
-    the v-solve through scipy.linalg.solve_banded."""
-    p, k, n, dy = self.p, self.k, self.n, self.dy
-    g1, h1 = s.g + dt * gdot, s.h + dt * hdot
-    xi, zeta = transform_coefficients(g1, h1, gdot, hdot, n)
-    length = h1 - g1
-    assert dt <= solver._dt_cap(solver._CFL, dy, float(np.max(np.abs(zeta))), self.rate_cap)
-    w, z = s.w, s.z
-    f1, f2 = reaction(p, w, z)
-    mk = min(n, math.floor(k.radius / (length / n)))
-    taps = k(np.arange(-mk, mk + 1) * (length / n))
-    Ku = np.convolve(self.wq_ref * (0.5 * length) * w, taps)[mk : mk + n + 1]
+class _OracleStepper:
+    """One run stepped field by field on full-length arrays: the reaction
+    one species at a time, the nonlocal operator as the full convolution
+    with taps at all 2m+1 offsets, one upwind pass per field, max |zeta|
+    over every node, the v-solve through scipy.linalg.solve_banded, and
+    the same checks and messages as the solver's."""
 
-    def upwind(f):
-        d = np.zeros_like(f)
-        d[1:-1] = np.where(zeta[1:-1] > 0.0, (f[2:] - f[1:-1]) / dy, (f[1:-1] - f[:-2]) / dy)
-        return d
+    def __init__(self, p: ModelParams, k: Kernel, s0: State):
+        self.p, self.k = p, k
+        self.n = len(s0.w) - 1
+        self.wq_ref = reference_grid(self.n)[1]
+        self.dy = 2.0 / self.n
+        self.bounds, self.rate_cap = solver._data_bounds(p, s0)
 
-    w1 = w + dt * (zeta * upwind(w) + p.d1 * (Ku - w) + f1)
-    w1[0] = w1[-1] = 0.0
-    rhs = z + dt * (zeta * upwind(z) + f2)
-    alpha = dt * p.d2 * xi / (dy * dy)
-    band = np.empty((3, n - 1))
-    band[0] = band[2] = -alpha
-    band[1] = 1.0 + 2.0 * alpha
-    z1 = np.zeros_like(z)
-    z1[1:-1] = scipy.linalg.solve_banded((1, 1), band, rhs[1:-1])
-    solver._clamp_roundoff(w1, s.t + dt, "u")
-    solver._clamp_roundoff(z1, s.t + dt, "v")
-    return State(t=s.t + dt, g=g1, h=h1, w=w1, z=z1)
+    def step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
+        p, k, n, dy = self.p, self.k, self.n, self.dy
+        g1, h1 = s.g + dt * gdot, s.h + dt * hdot
+        xi, zeta = transform_coefficients(g1, h1, gdot, hdot, n)
+        length = h1 - g1
+        zeta_max = float(np.max(np.abs(zeta)))
+        dt_cap = solver._dt_cap(solver._CFL, dy, zeta_max, self.rate_cap)
+        if dt > dt_cap:
+            raise SolverFailure(
+                f"stability bound violated at t={s.t}: dt={dt:.3e} > {dt_cap:.3e} "
+                f"(max |zeta|={zeta_max:.3e}); rerun with a smaller dt"
+            )
+        w, z = s.w, s.z
+        # the reaction terms one species at a time, with the predation sign written out
+        f1 = w * (p.a - w - p.b * z)
+        f2 = z * (1.0 - z - p.c * w) if p.kind == "competition" else z * (1.0 - z + p.c * w)
+        mk = min(n, math.floor(k.radius / (length / n)))
+        taps = k(np.arange(-mk, mk + 1) * (length / n))
+        Ku = np.convolve(self.wq_ref * (0.5 * length) * w, taps)[mk : mk + n + 1]
+
+        def upwind(f):
+            d = np.zeros_like(f)
+            d[1:-1] = np.where(zeta[1:-1] > 0.0, (f[2:] - f[1:-1]) / dy, (f[1:-1] - f[:-2]) / dy)
+            return d
+
+        w1 = w + dt * (zeta * upwind(w) + p.d1 * (Ku - w) + f1)
+        w1[0] = w1[-1] = 0.0
+        rhs = z + dt * (zeta * upwind(z) + f2)
+        alpha = dt * p.d2 * xi / (dy * dy)
+        band = np.empty((3, n - 1))
+        band[0] = band[2] = -alpha
+        band[1] = 1.0 + 2.0 * alpha
+        z1 = np.zeros_like(z)
+        z1[1:-1] = scipy.linalg.solve_banded((1, 1), band, rhs[1:-1])
+        solver._clamp_roundoff(w1, s.t + dt, "u")
+        solver._clamp_roundoff(z1, s.t + dt, "v")
+        t1 = s.t + dt
+        if not (hdot >= 0.0 >= gdot and h1 >= s.h and g1 <= s.g):
+            raise SolverFailure(f"front monotonicity violated at t={t1}: h {s.h} -> {h1}, g {s.g} -> {g1}")
+        wmax, zmax = float(w1.max()), float(z1.max())
+        if not (math.isfinite(wmax) and math.isfinite(zmax)):
+            raise SolverFailure(f"non-finite field values at t={t1}")
+        if not (wmax <= self.bounds.k1 * (1.0 + solver._BOUND_SLACK)):
+            raise SolverFailure(f"u bound breached at t={t1}: max u={wmax} > k1={self.bounds.k1}")
+        if not (zmax <= self.bounds.k2 * (1.0 + solver._BOUND_SLACK)):
+            raise SolverFailure(f"v bound breached at t={t1}: max v={zmax} > k2={self.bounds.k2}")
+        return State(t=t1, g=g1, h=h1, w=w1, z=z1)
+
+
+def _oracle_run(p, init, k, ctrl, stop_rule=None):
+    """run() for one job, stepped by _OracleStepper and _oracle_velocities."""
+    state = initial_state(init, ctrl.n)
+    stepper = _OracleStepper(p, k, state)
+    y = reference_grid(ctrl.n)[0]
+    n_steps = None if ctrl.dt is None else max(1, math.ceil(ctrl.horizon / ctrl.dt))
+    rec, snapshots, termination = solver._Recorder(), [], "horizon"
+
+    def snap(s):
+        x = 0.5 * (s.g + s.h) + y * 0.5 * (s.h - s.g)
+        snapshots.append(solver.Snapshot(t=s.t, g=s.g, h=s.h, x=x, u=s.w.copy(), v=s.z.copy()))
+
+    gdot, hdot = _oracle_velocities(state, p, k)
+    rec.add(state, gdot, hdot)
+    if ctrl.snapshot_every > 0:
+        snap(state)
+    istep, last, prev = 0, False, None
+    while not last:
+        istep += 1
+        if n_steps is None:
+            dt = min(auto_dt(ctrl.n, state.h - state.g, gdot, hdot, stepper.rate_cap, prev), ctrl.horizon - state.t)
+            last = dt == ctrl.horizon - state.t
+            prev = (gdot, hdot, dt)
+        else:
+            dt, last = ctrl.dt, istep == n_steps
+        state = stepper.step(state, dt, gdot, hdot)
+        if last and n_steps is None:
+            state.t = ctrl.horizon
+        gdot, hdot = _oracle_velocities(state, p, k)
+        recorded = istep % ctrl.record_every == 0 or last
+        if recorded:
+            rec.add(state, gdot, hdot)
+        if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or last):
+            snap(state)
+        if recorded and stop_rule is not None:
+            reason = stop_rule(rec)
+            if reason:
+                termination = f"stop:{reason}"
+                break
+    return rec.to_trajectory(termination, ctrl.n, snapshots)
+
+
+def _assert_same_run(got, want):
+    assert got.termination == want.termination
+    for name in solver.TRAJECTORY_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.x, b.x) and a.t == b.t
+
+
+def _tilted(h0, amp, tilt):
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return amp * np.clip(np.cos(0.5 * np.pi * x / h0), 0.0, None) * (1.0 + tilt * np.sin(np.pi * x / h0))
+
+    return f
 
 
 # radius-1 kernels on n = 64 intervals: a habitat shorter than the radius
@@ -508,30 +618,76 @@ def _oracle_step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
 @pytest.mark.parametrize("dt", [0.004, None], ids=["fixed-dt", "auto-dt"])
 @pytest.mark.parametrize("kind", ["competition", "predation"])
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
-def test_step_and_velocities_match_field_by_field_oracle(monkeypatch, family, kind, dt, h0):
+def test_step_and_velocities_match_field_by_field_oracle(family, kind, dt, h0):
     p = _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=0.3, rho=2.0)
-
-    def profile(amp, tilt):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return amp * np.clip(np.cos(0.5 * np.pi * x / h0), 0.0, None) * (1.0 + tilt * np.sin(np.pi * x / h0))
-
-        return f
-
-    init = InitialData(h0, profile(0.6, 0.4), profile(0.5, -0.3))
+    init = InitialData(h0, _tilted(h0, 0.6, 0.4), _tilted(h0, 0.5, -0.3))
     k = make_kernel(family, 1.0)
     ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=1, snapshot_every=7)
     got = run(p, init, k, ctrl)
-    monkeypatch.setattr(solver, "boundary_velocities", _oracle_velocities)
-    monkeypatch.setattr(solver._Stepper, "step", _oracle_step)
-    want = run(p, init, k, ctrl)
+    want = _oracle_run(p, init, k, ctrl)
     assert got.termination == want.termination == "horizon"
     assert got.h[-1] - got.h[0] > 1e-3  # the fronts moved
-    for name in solver.TRAJECTORY_COLUMNS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert len(got.snapshots) == len(want.snapshots) > 1
-    for a, b in zip(got.snapshots, want.snapshots):
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+    assert len(got.snapshots) > 1
+    _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("dt", [0.004, None], ids=["fixed-dt", "auto-dt"])
+@pytest.mark.parametrize("family", ["tent", "truncated_gaussian"])
+def test_batch_rows_match_their_runs_alone(family, dt):
+    # five rows: both kinds, different mu, rho and h0, and one row that its
+    # stop rule ends early.  Under dt = auto every row takes its own dts;
+    # a fixed dt is shared, and the third row's fronts speed up until it
+    # breaks that row's stability bound after three steps
+    def squared(h0, amp):
+        return lambda x: amp * np.clip(np.cos(0.5 * np.pi * np.asarray(x, dtype=float) / h0), 0.0, None) ** 2
+
+    def params(kind, mu, rho):
+        return _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=mu, rho=rho)
+
+    jobs = [
+        (params("competition", 0.3, 2.0), InitialData(0.4, _tilted(0.4, 0.6, 0.4), _tilted(0.4, 0.5, -0.3)), None),
+        (params("predation", 0.1, 0.5), InitialData(1.5, _tilted(1.5, 0.3, -0.2), _tilted(1.5, 0.4, 0.1)), None),
+        (params("competition", 8.0, 0.5), InitialData(0.75, squared(0.75, 0.3), squared(0.75, 0.5)), None),
+        (
+            params("predation", 0.5, 1.0),
+            InitialData.cosine(0.75, 0.4, 0.3),
+            lambda rec: "probe" if rec.t[-1] >= 0.25 else None,
+        ),
+        (params("competition", 0.05, 0.05), InitialData.cosine(1.0, 0.2, 0.2), None),
+    ]
+    k = make_kernel(family, 1.0)
+    ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=3, snapshot_every=11)
+    results = solver.run_batch(jobs, k, ctrl)
+    failing = ["SolverFailure"] if dt else ["Trajectory"]
+    assert [type(r).__name__ for r in results] == ["Trajectory"] * 2 + failing + ["Trajectory"] * 2
+    if dt:
+        assert str(results[2]).startswith("stability bound violated at t=0.012")
+    assert results[3].termination == "stop:probe" and results[3].t[-1] < 0.3
+    for result, (p, init, stop_rule) in zip(results, jobs):
+        try:
+            want = _oracle_run(p, init, k, ctrl, stop_rule)
+        except SolverFailure as exc:
+            assert isinstance(result, SolverFailure) and str(result) == str(exc)
+        else:
+            _assert_same_run(result, want)
+
+
+def test_batch_step_fails_only_the_degenerate_row():
+    init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2)
+    s0 = initial_state(init, 64)
+    rows = [solver._Row(_params(), s0) for _ in range(3)]
+    batch = solver._Batch(TENT, rows, np.array([(s0.w, s0.z)] * 3))
+    for row, (gdot, hdot) in zip(rows, solver.boundary_velocities(batch)):
+        row.gdot, row.hdot = gdot, hdot
+    rows[1].gdot, rows[1].hdot = 150.0, -150.0  # the fronts cross within the step
+    failed = batch.step([0.01] * 3)
+    assert [(row is rows[1], str(exc)) for row, exc in failed] == [(True, "degenerate domain: g=0.5, h=-0.5")]
+    assert batch.rows == [rows[0], rows[2]]
+    alone = step(s0, _params(), TENT, 0.01)
+    for i in (0, 1):
+        s = batch.state(i)
+        assert (s.t, s.g, s.h) == (alone.t, alone.g, alone.h)
+        assert np.array_equal(s.w, alone.w) and np.array_equal(s.z, alone.z)
 
 
 @pytest.mark.parametrize("m", [7, 119, 199])
@@ -567,11 +723,11 @@ def test_non_finite_after_state_is_reported_as_non_finite(monkeypatch):
         step(s, _params(), TENT, dt=0.01)
     monkeypatch.undo()
 
-    stepper = solver._Stepper(_params(), TENT, s)
-    after = State(t=0.01, g=s.g, h=s.h, w=s.w.copy(), z=s.z.copy())
-    after.w[5] = np.nan
-    with pytest.raises(SolverFailure, match="non-finite field values"):
-        stepper._check_invariants(s, after, 0.0, 0.0)
-    after.w[5] = np.inf
-    with pytest.raises(SolverFailure, match="non-finite field values"):
-        stepper._check_invariants(s, after, 0.0, 0.0)
+    row = solver._Row(_params(), s)  # zero front speeds: the fronts stay put
+    after = np.array([(s.w, s.z)])
+    for bad in (np.nan, np.inf):
+        after[0, 0, 5] = bad
+        # the field maxima as the step takes them, one (u, v) pair per row
+        (wmax, zmax), = after.max(axis=2).tolist()
+        with pytest.raises(SolverFailure, match="non-finite field values"):
+            row.check_invariants(0.01, s.g, s.h, wmax, zmax)
