@@ -18,6 +18,13 @@ factor serves every solve.  A solve shrinks the error by (sigma - nu_top)
 / (sigma - nu_2), about 1/4 at any length as both gaps scale as
 1/length^2.  The reported eigenvalue is the weighted Rayleigh quotient
 of the returned eigenvector, so Rayleigh consistency holds to roundoff.
+
+The critical length needs only the sign of lambda_p at each trial length.
+By Sylvester's law of inertia, (d - theta0)*I - S is positive definite
+exactly when nu_top < d - theta0, that is when lambda_p < 0, and a banded
+Cholesky factorization succeeds exactly when its matrix is positive
+definite.  So one factorization of that band answers each sign question
+(`_subcritical`); the inverse iteration runs only where a value is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, RegimeError
 from .kernels import Kernel, nonlocal_apply, trapezoid_weights
@@ -39,6 +47,10 @@ _MAX_SOLVES = 50
 _RESIDUAL_TOL = 1e-8
 # critical_length searches lengths up to this many kernel radii
 _ELL_MAX_RADII = 50.0
+
+# the LAPACK routines behind cholesky_banded and cho_solve_banded, fetched once:
+# the wrappers copy and re-validate the band on every call
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,30 @@ def _shifted_band(prob: EigenProblem, sqrt_w: np.ndarray, sigma: float) -> np.nd
     diagonal of S, d*J(m*spacing)*sqrt(w_i*w_{i+m}), for m <= b inside the support."""
     h = prob.spacing
     b = min(prob.n - 1, math.floor(prob.kernel.radius / h))
-    taps = prob.d * prob.kernel(np.arange(b + 1) * h)
-    ab = np.zeros((b + 1, prob.n))
-    for m in range(b + 1):
-        ab[b - m, m:] = -taps[m] * sqrt_w[: prob.n - m] * sqrt_w[m:]
+    taps = prob.d * prob.kernel(np.arange(b, -1, -1) * h)[:, None]  # row b-m: offset m
+    # row b-m of the window holds sqrt_w[j-m] at column j; the -0.0 padding
+    # leaves +0.0 in the unused columns j < m, as the taps are nonnegative
+    window = sliding_window_view(np.concatenate((np.full(b, -0.0), sqrt_w)), prob.n)
+    ab = -taps * window
+    ab *= sqrt_w  # each entry is (-taps[m]*sqrt_w[j-m])*sqrt_w[j]
     ab[b] += sigma
     return ab
+
+
+def _cholesky(ab: np.ndarray) -> tuple[np.ndarray, int]:
+    """Upper banded Cholesky factor of ab by LAPACK pbtrf, and its info:
+    0, or the order of the first leading minor that is not positive definite."""
+    factor, info = _pbtrf(ab)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
+    return factor, info
+
+
+def _subcritical(prob: EigenProblem) -> bool:
+    """Whether lambda_p < 0, by one banded Cholesky factorization of
+    (d - theta0)*I - S; see module docstring."""
+    sqrt_w = np.sqrt(trapezoid_weights(prob.n, prob.spacing))
+    return _cholesky(_shifted_band(prob, sqrt_w, prob.d - prob.theta0))[1] == 0
 
 
 def lambda_p(prob: EigenProblem) -> EigenResult:
@@ -112,16 +142,15 @@ def lambda_p(prob: EigenProblem) -> EigenResult:
     w = trapezoid_weights(prob.n, prob.spacing)
     sqrt_w = np.sqrt(w)
     sigma = float(np.max(prob.d * nonlocal_apply(prob.kernel, prob.spacing, w)))
-    try:
-        factor = cholesky_banded(_shifted_band(prob, sqrt_w, sigma))
-    except LinAlgError as exc:
-        raise ConvergenceError(f"shifted eigenproblem not positive definite: {exc}") from exc
+    factor, info = _cholesky(_shifted_band(prob, sqrt_w, sigma))
+    if info > 0:
+        raise ConvergenceError(
+            f"shifted eigenproblem not positive definite: {info}-th leading minor not positive definite"
+        )
 
-    # the LAPACK routine behind cho_solve_banded, without its per-call wrapper
-    pbtrs = get_lapack_funcs(("pbtrs",), (factor,))[0]
     v_prev = sqrt_w / sqrt_w.max()  # phi = 1, symmetrized
     for solves in range(1, _MAX_SOLVES + 1):
-        v, info = pbtrs(factor, v_prev)
+        v, info = _pbtrs(factor, v_prev)
         if info != 0:
             raise ConvergenceError(f"banded Cholesky solve failed (LAPACK pbtrs info={info})")
         vmax = v.max()
@@ -175,6 +204,11 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
     with a node count frozen for the whole bisection so the discrete
     eigenvalue is a smooth function of length.  The search gives up past
     _ELL_MAX_RADII kernel radii.
+
+    Every step asks only for the sign of the eigenvalue, which one banded
+    Cholesky factorization gives by the law of inertia (`_subcritical`).
+    lambda_p runs only once the bracket is under tol, for the stop test
+    |lambda_p| < 1e-6 and the reported eigenvalue.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -190,59 +224,57 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
     def n_for(ell: float) -> int:
         return max(9, math.ceil(ell / spacing) + 1)
 
-    def lam(ell: float, n: int) -> float:
-        return lambda_p(EigenProblem(d=d1, theta0=a, ell1=0.0, ell2=ell, n=n, kernel=kernel)).lambda_p
+    def problem(ell: float, n: int) -> EigenProblem:
+        return EigenProblem(d=d1, theta0=a, ell1=0.0, ell2=ell, n=n, kernel=kernel)
+
+    def below(ell: float, n: int) -> bool:
+        return _subcritical(problem(ell, n))
 
     lo = 8.0 * spacing
-    f_lo = lam(lo, n_for(lo))
-    if f_lo > 0.0:
-        while f_lo > 0.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-9 * radius:
-                raise RegimeError(
-                    f"no sign change found above length {lo:.3e}; eigenvalue stays positive"
-                )
-            f_lo = lam(lo, n_for(lo))
-    else:
+    if below(lo, n_for(lo)):
         hi = 2.0 * lo
-        f_hi = lam(hi, n_for(hi))
-        while f_hi <= 0.0:
+        while below(hi, n_for(hi)):
             lo = hi
             hi *= 2.0
             if hi > ell_max:
                 raise RegimeError(
                     f"no sign change found below ell_max={ell_max:.3g}; check parameters"
                 )
-            f_hi = lam(hi, n_for(hi))
+    else:
+        while True:
+            hi = lo
+            lo *= 0.5
+            if lo < 1e-9 * radius:
+                raise RegimeError(
+                    f"no sign change found above length {lo:.3e}; eigenvalue stays positive"
+                )
+            if below(lo, n_for(lo)):
+                break
 
     # frozen node count: the finest the bracket needs
     n_fix = n_for(hi)
-    f_lo = lam(lo, n_fix)
-    f_hi = lam(hi, n_fix)
     # re-evaluation at the common grid may nudge the endpoint signs
-    while f_lo > 0.0:
+    while not below(lo, n_fix):
         lo *= 0.5
-        f_lo = lam(lo, n_fix)
-    while f_hi <= 0.0:
+    while below(hi, n_fix):
         hi *= 2.0
         if hi > ell_max:
             raise RegimeError(f"no sign change found below ell_max={ell_max:.3g}")
-        f_hi = lam(hi, n_fix)
 
-    mid, f_mid = lo, f_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = lam(mid, n_fix)
-        if f_mid <= 0.0:
+        if below(mid, n_fix):
             lo = mid
         else:
             hi = mid
         # a tol below the spacing of doubles near ell* is never met: the
         # bracket stops shrinking once lo and hi are adjacent doubles
-        if ((hi - lo) < tol or 0.5 * (lo + hi) in (lo, hi)) and abs(f_mid) < 1e-6:
-            break
+        if (hi - lo) < tol or 0.5 * (lo + hi) in (lo, hi):
+            f_mid = lambda_p(problem(mid, n_fix)).lambda_p
+            if abs(f_mid) < 1e-6:
+                break
     else:
+        f_mid = lambda_p(problem(mid, n_fix)).lambda_p
         raise ConvergenceError(
             f"critical-length bisection stalled: bracket ({lo}, {hi}), last eigenvalue {f_mid:.3e}"
         )

@@ -6,8 +6,12 @@ scipy's dense symmetric eigensolver.  The second is the dense repeated
 squaring path the package used before the banded solver, kept here to
 check the eigenfunction as well.  Each shares only the matrix
 definition with the package, not the eigenvalue algorithm.
+
+The critical length is checked against the bisection the package used
+before its Cholesky sign test, which reads every sign off lambda_p.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +29,8 @@ from frontlab import (
     make_kernel,
 )
 from frontlab import eigen
-from frontlab.eigen import _shifted_band
+from frontlab.eigen import _cholesky, _shifted_band, _subcritical
+from frontlab.kernels import trapezoid_weights
 
 TENT = make_kernel("tent", 1.0)
 
@@ -88,11 +93,66 @@ def test_matches_dense_eigensolver_other_kernels(family):
     assert res.lambda_p == pytest.approx(oracle, abs=1e-9)
 
 
+def _oracle_critical_length(d1, a, kernel, tol=1e-4):
+    """The package's bisection before the Cholesky sign test: every
+    bracket and bisection step reads the sign off lambda_p."""
+    radius = kernel.radius
+    ell_max = 50.0 * radius
+    spacing = radius / 10.0
+
+    def n_for(ell):
+        return max(9, math.ceil(ell / spacing) + 1)
+
+    def lam(ell, n):
+        return lambda_p(EigenProblem(d=d1, theta0=a, ell1=0.0, ell2=ell, n=n, kernel=kernel)).lambda_p
+
+    lo = 8.0 * spacing
+    f_lo = lam(lo, n_for(lo))
+    if f_lo > 0.0:
+        while f_lo > 0.0:
+            hi = lo
+            lo *= 0.5
+            assert lo >= 1e-9 * radius
+            f_lo = lam(lo, n_for(lo))
+    else:
+        hi = 2.0 * lo
+        f_hi = lam(hi, n_for(hi))
+        while f_hi <= 0.0:
+            lo = hi
+            hi *= 2.0
+            assert hi <= ell_max
+            f_hi = lam(hi, n_for(hi))
+
+    n_fix = n_for(hi)
+    f_lo = lam(lo, n_fix)
+    f_hi = lam(hi, n_fix)
+    while f_lo > 0.0:
+        lo *= 0.5
+        f_lo = lam(lo, n_fix)
+    while f_hi <= 0.0:
+        hi *= 2.0
+        assert hi <= ell_max
+        f_hi = lam(hi, n_fix)
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = lam(mid, n_fix)
+        if f_mid <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if ((hi - lo) < tol or 0.5 * (lo + hi) in (lo, hi)) and abs(f_mid) < 1e-6:
+            return mid, f_mid, (lo, hi), n_fix
+    raise AssertionError("oracle bisection stalled")
+
+
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
-def test_geometry_matrix_equals_index_difference_build(family):
+@pytest.mark.parametrize("ell1,ell2", [(-0.7, 2.1), (-0.2, 0.6)])
+def test_geometry_matrix_equals_index_difference_build(family, ell1, ell2):
     # the band storage of sigma*I - S is the band of the dense symmetrized
-    # index-difference build, and that band holds every nonzero of S
-    prob = EigenProblem(d=1.3, theta0=0.5, ell1=-0.7, ell2=2.1, n=41, kernel=make_kernel(family, 0.9))
+    # index-difference build, and that band holds every nonzero of S;
+    # on the short interval the support spans the grid and the band is full
+    prob = EigenProblem(d=1.3, theta0=0.5, ell1=ell1, ell2=ell2, n=41, kernel=make_kernel(family, 0.9))
     idx = np.arange(prob.n, dtype=float)
     w = np.full(prob.n, prob.spacing)
     w[0] = w[-1] = 0.5 * prob.spacing
@@ -105,12 +165,27 @@ def test_geometry_matrix_equals_index_difference_build(family):
     ab = _shifted_band(prob, sqrt_w, sigma)
     shifted = sigma * np.eye(prob.n) - S
     b = ab.shape[0] - 1
-    assert b == math.floor(prob.kernel.radius / prob.spacing) < prob.n - 1
+    assert b == min(prob.n - 1, math.floor(prob.kernel.radius / prob.spacing))
     expected = np.zeros_like(ab)
     for m in range(b + 1):
         expected[b - m, m:] = np.diagonal(shifted, m)
     assert np.array_equal(ab, expected)
     assert not np.any(np.triu(S, b + 1))
+
+
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+@pytest.mark.parametrize("n", [9, 65, 1601])
+def test_factor_equals_cholesky_banded(family, n):
+    # LAPACK pbtrf called directly gives the wrapper's factor bit for bit
+    k = make_kernel(family, 1.0)
+    prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=(n - 1) / 8.0, n=n, kernel=k)
+    w = trapezoid_weights(n, prob.spacing)
+    sigma = float(np.max(prob.d * eigen.nonlocal_apply(k, prob.spacing, w)))
+    ab = _shifted_band(prob, np.sqrt(w), sigma)
+    expected = scipy.linalg.cholesky_banded(ab)
+    factor, info = _cholesky(ab)
+    assert info == 0
+    assert factor.shape == expected.shape and factor.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
@@ -158,6 +233,7 @@ def test_failures_raise_convergence_error(monkeypatch):
     monkeypatch.setattr(eigen, "_shifted_band", unshifted)
     with pytest.raises(ConvergenceError, match="not positive definite"):
         lambda_p(prob)
+    assert not _subcritical(EigenProblem(d=1.0, theta0=1.0, ell1=0.0, ell2=20.0, n=161, kernel=TENT))
 
 
 def test_eigenfunction_positive_normalized_small_residual():
@@ -254,6 +330,66 @@ def test_critical_length_matches_dense_oracle():
     assert abs(res.ell_star - oracle) <= 0.01 * oracle
 
 
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_critical_length_matches_lambda_bisection(family):
+    # the sign test steers the bisection exactly as the signs of lambda_p did
+    for radius, d1, ratio, tol in itertools.product([0.5, 1.0, 2.0], [0.5, 1.0, 3.0], [0.01, 0.05, 0.5, 0.99], [1e-4, 1e-6]):
+        k = make_kernel(family, radius)
+        res = critical_length(d1, ratio * d1, k, tol=tol)
+        ell_star, lam, bracket, n = _oracle_critical_length(d1, ratio * d1, k, tol=tol)
+        assert (res.ell_star, res.lambda_at_ell_star, res.bracket, res.n) == (ell_star, lam, bracket, n), (
+            radius, d1, ratio, tol
+        )
+
+
+def test_sign_test_agrees_with_lambda_p_on_random_problems():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        radius = rng.uniform(0.3, 2.0)
+        ell = rng.uniform(0.1, 6.0) * radius
+        n = max(9, math.ceil(ell / (radius / rng.uniform(4.5, 12.0))) + 1)
+        d = rng.uniform(0.2, 3.0)
+        kernel = make_kernel(rng.choice(["tent", "parabolic_bump", "truncated_gaussian"]), radius)
+        prob = EigenProblem(d=d, theta0=d * rng.uniform(0.0, 1.0), ell1=0.0, ell2=ell, n=n, kernel=kernel)
+        assert _subcritical(prob) == (lambda_p(prob).lambda_p < 0.0), prob
+
+
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9])
+def test_sign_test_agrees_with_lambda_p_next_to_the_critical_length(family, a):
+    k = make_kernel(family, 1.0)
+    res = critical_length(1.0, a, k, tol=1e-12)
+    for delta in (1e-3, 1e-5, 1e-7, 1e-9):
+        for ell, below in ((res.ell_star - delta, True), (res.ell_star + delta, False)):
+            prob = EigenProblem(d=1.0, theta0=a, ell1=0.0, ell2=ell, n=res.n, kernel=k)
+            assert _subcritical(prob) is below
+            assert (lambda_p(prob).lambda_p < 0.0) is below
+
+
+def test_critical_length_runs_lambda_p_only_for_the_stop_test(monkeypatch):
+    calls = []
+
+    def counted(prob):
+        calls.append(prob)
+        return lambda_p(prob)
+
+    monkeypatch.setattr(eigen, "lambda_p", counted)
+    critical_length(1.0, 0.05, TENT)
+    assert 1 <= len(calls) <= 3
+
+
+def test_stalled_bisection_names_bracket_and_last_eigenvalue(monkeypatch):
+    # an eigenvalue shifted by 1 never passes the |lambda_p| < 1e-6 stop test
+    def shifted(prob):
+        res = lambda_p(prob)
+        res.lambda_p += 1.0
+        return res
+
+    monkeypatch.setattr(eigen, "lambda_p", shifted)
+    with pytest.raises(ConvergenceError, match=r"stalled: bracket \(0\.63\d*, 0\.63\d*\), last eigenvalue 1\.000e\+00"):
+        critical_length(1.0, 0.5, TENT)
+
+
 def test_critical_length_decreases_with_rate():
     slow = critical_length(1.0, 0.3, TENT).ell_star
     fast = critical_length(1.0, 0.6, TENT).ell_star
@@ -272,12 +408,11 @@ def test_critical_length_regime_errors():
 
 def test_failed_banded_solve_raises_convergence_error(monkeypatch):
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=20.0, n=161, kernel=TENT)
-    real = eigen.get_lapack_funcs
+    real = eigen._pbtrs
 
-    def failing(names, arrays):
-        (pbtrs,) = real(names, arrays)
-        return [lambda ab, b: (pbtrs(ab, b)[0], 3)]
+    def failing(ab, b):
+        return real(ab, b)[0], 3
 
-    monkeypatch.setattr(eigen, "get_lapack_funcs", failing)
+    monkeypatch.setattr(eigen, "_pbtrs", failing)
     with pytest.raises(ConvergenceError, match="info=3"):
         lambda_p(prob)
