@@ -25,6 +25,15 @@ exactly when nu_top < d - theta0, that is when lambda_p < 0, and a banded
 Cholesky factorization succeeds exactly when its matrix is positive
 definite.  So one factorization of that band answers each sign question
 (`_subcritical`); the inverse iteration runs only where a value is needed.
+
+The band is built and factored in LAPACK lower band storage, row m
+holding the offset-m diagonal.  For kd <= 64 pbtrf runs the unblocked
+pbtf2, whose BLAS syr update reads a column of the band: stride 1 in
+lower storage, stride kd in upper storage.  OpenBLAS hands the strided
+call to its thread pool, which made the upper factorization 4-5 times
+slower at kd = 17-18 with 2 threads; the two layouts take the same time
+on one thread.  lambda_p copies the factor into upper storage for its
+solves, where pbtrs is faster.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, RegimeError
@@ -107,24 +115,28 @@ def default_n(ell1: float, ell2: float, kernel: Kernel) -> int:
 
 
 def _shifted_band(prob: EigenProblem, sqrt_w: np.ndarray, sigma: float) -> np.ndarray:
-    """Upper band storage of sigma*I - S: ab[b-m, m:] holds the offset-m
+    """Lower band storage of sigma*I - S: ab[m, :n-m] holds the offset-m
     diagonal of S, d*J(m*spacing)*sqrt(w_i*w_{i+m}), for m <= b inside the support."""
     h = prob.spacing
-    b = min(prob.n - 1, math.floor(prob.kernel.radius / h))
-    taps = prob.d * prob.kernel(np.arange(b, -1, -1) * h)[:, None]  # row b-m: offset m
-    # row b-m of the window holds sqrt_w[j-m] at column j; the -0.0 padding
-    # leaves +0.0 in the unused columns j < m, as the taps are nonnegative
-    window = sliding_window_view(np.concatenate((np.full(b, -0.0), sqrt_w)), prob.n)
-    ab = -taps * window
-    ab *= sqrt_w  # each entry is (-taps[m]*sqrt_w[j-m])*sqrt_w[j]
-    ab[b] += sigma
+    n = prob.n
+    b = min(n - 1, math.floor(prob.kernel.radius / h))
+    taps = prob.d * prob.kernel(np.arange(b + 1) * h)[:, None]  # row m: offset m
+    # row m of the view is padded[m:m+n], so column i holds sqrt_w[i+m];
+    # the -0.0 padding leaves +0.0 in the unused columns i >= n-m, as the
+    # taps are nonnegative
+    padded = np.concatenate((sqrt_w, np.full(b, -0.0)))
+    step = padded.itemsize
+    ab = -taps * sqrt_w
+    # each entry is (-taps[m]*sqrt_w[i])*sqrt_w[i+m]
+    ab *= np.ndarray((b + 1, n), buffer=padded, strides=(step, step))
+    ab[0] += sigma
     return ab
 
 
 def _cholesky(ab: np.ndarray) -> tuple[np.ndarray, int]:
-    """Upper banded Cholesky factor of ab by LAPACK pbtrf, and its info:
+    """Lower banded Cholesky factor of ab by LAPACK pbtrf, and its info:
     0, or the order of the first leading minor that is not positive definite."""
-    factor, info = _pbtrf(ab)
+    factor, info = _pbtrf(ab, lower=1)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
     return factor, info
@@ -147,10 +159,15 @@ def lambda_p(prob: EigenProblem) -> EigenResult:
         raise ConvergenceError(
             f"shifted eigenproblem not positive definite: {info}-th leading minor not positive definite"
         )
+    # U = L^T in upper band storage: ab_u[b-m, j] = ab_l[m, j-m]
+    b, n = factor.shape[0] - 1, prob.n
+    upper = np.zeros_like(factor)
+    for m in range(b + 1):
+        upper[b - m, m:] = factor[m, : n - m]
 
     v_prev = sqrt_w / sqrt_w.max()  # phi = 1, symmetrized
     for solves in range(1, _MAX_SOLVES + 1):
-        v, info = _pbtrs(factor, v_prev)
+        v, info = _pbtrs(upper, v_prev)
         if info != 0:
             raise ConvergenceError(f"banded Cholesky solve failed (LAPACK pbtrs info={info})")
         vmax = v.max()

@@ -9,6 +9,10 @@ definition with the package, not the eigenvalue algorithm.
 
 The critical length is checked against the bisection the package used
 before its Cholesky sign test, which reads every sign off lambda_p.
+
+The package factors the band in LAPACK lower band storage.  The upper
+storage path it used before is kept here as an oracle that lambda_p and
+the sign test must match bit for bit wherever LAPACK factors unblocked.
 """
 
 import itertools
@@ -17,6 +21,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from frontlab import (
     ConvergenceError,
@@ -33,6 +39,7 @@ from frontlab.eigen import _cholesky, _shifted_band, _subcritical
 from frontlab.kernels import trapezoid_weights
 
 TENT = make_kernel("tent", 1.0)
+FAMILIES = ["tent", "parabolic_bump", "truncated_gaussian"]
 
 
 def dense_lambda(d, theta0, ell1, ell2, n, kernel):
@@ -166,9 +173,12 @@ def test_geometry_matrix_equals_index_difference_build(family, ell1, ell2):
     shifted = sigma * np.eye(prob.n) - S
     b = ab.shape[0] - 1
     assert b == min(prob.n - 1, math.floor(prob.kernel.radius / prob.spacing))
+    # lower band storage: row m holds the offset-m diagonal, then n-m unused
+    # columns that hold +0.0
     expected = np.zeros_like(ab)
     for m in range(b + 1):
-        expected[b - m, m:] = np.diagonal(shifted, m)
+        expected[m, : prob.n - m] = np.diagonal(shifted, m)
+        assert not np.signbit(ab[m, prob.n - m :]).any()
     assert np.array_equal(ab, expected)
     assert not np.any(np.triu(S, b + 1))
 
@@ -176,16 +186,160 @@ def test_geometry_matrix_equals_index_difference_build(family, ell1, ell2):
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
 @pytest.mark.parametrize("n", [9, 65, 1601])
 def test_factor_equals_cholesky_banded(family, n):
-    # LAPACK pbtrf called directly gives the wrapper's factor bit for bit
+    # LAPACK pbtrf called directly gives the wrapper's lower factor bit for bit
     k = make_kernel(family, 1.0)
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=(n - 1) / 8.0, n=n, kernel=k)
     w = trapezoid_weights(n, prob.spacing)
     sigma = float(np.max(prob.d * eigen.nonlocal_apply(k, prob.spacing, w)))
     ab = _shifted_band(prob, np.sqrt(w), sigma)
-    expected = scipy.linalg.cholesky_banded(ab)
+    expected = scipy.linalg.cholesky_banded(ab, lower=True)
     factor, info = _cholesky(ab)
     assert info == 0
     assert factor.shape == expected.shape and factor.tobytes() == expected.tobytes()
+
+
+def _upper_band(prob, sqrt_w, sigma):
+    """Upper band storage of sigma*I - S, as the package built it before it
+    moved to lower storage: ab[b-m, m:] holds the offset-m diagonal."""
+    h = prob.spacing
+    b = min(prob.n - 1, math.floor(prob.kernel.radius / h))
+    taps = prob.d * prob.kernel(np.arange(b, -1, -1) * h)[:, None]  # row b-m: offset m
+    # row b-m of the window holds sqrt_w[j-m] at column j; the -0.0 padding
+    # leaves +0.0 in the unused columns j < m, as the taps are nonnegative
+    window = sliding_window_view(np.concatenate((np.full(b, -0.0), sqrt_w)), prob.n)
+    ab = -taps * window
+    ab *= sqrt_w  # each entry is (-taps[m]*sqrt_w[j-m])*sqrt_w[j]
+    ab[b] += sigma
+    return ab
+
+
+def _upper_lambda_p(prob):
+    """lambda_p with the band factored and solved in upper storage: returns
+    lambda_p, the eigenfunction, the residual and the solve count."""
+    w = trapezoid_weights(prob.n, prob.spacing)
+    sqrt_w = np.sqrt(w)
+    sigma = float(np.max(prob.d * eigen.nonlocal_apply(prob.kernel, prob.spacing, w)))
+    factor, info = dpbtrf(_upper_band(prob, sqrt_w, sigma))
+    assert info == 0
+    v_prev = sqrt_w / sqrt_w.max()
+    for solves in range(1, eigen._MAX_SOLVES + 1):
+        v, info = dpbtrs(factor, v_prev)
+        assert info == 0
+        v /= v.max()
+        if np.max(np.abs(v - v_prev)) <= eigen._VEC_TOL:
+            break
+        v_prev = v
+    phi = v / sqrt_w
+    phi /= phi.max()
+    Mphi = prob.d * eigen.nonlocal_apply(prob.kernel, prob.spacing, w * phi)
+    nu = float(np.dot(phi * w, Mphi) / np.dot(phi * w, phi))
+    residual = float(np.max(np.abs(Mphi - nu * phi)))
+    return nu + prob.theta0 - prob.d, phi, residual, solves
+
+
+def _factors_in_both_layouts(prob, shift):
+    """shift*I - S factored in both layouts: the diagonals of the lower
+    factor and of the upper factor, offset 0 first, and both infos."""
+    sqrt_w = np.sqrt(trapezoid_weights(prob.n, prob.spacing))
+    lower, info = _cholesky(_shifted_band(prob, sqrt_w, shift))
+    upper, upper_info = dpbtrf(_upper_band(prob, sqrt_w, shift))
+    b = lower.shape[0] - 1
+    lower_diags = np.concatenate([lower[m, : prob.n - m] for m in range(b + 1)])
+    upper_diags = np.concatenate([upper[b - m, m:] for m in range(b + 1)])
+    return lower_diags, info, upper_diags, upper_info
+
+
+def _assert_matches_upper_oracle(prob):
+    res = lambda_p(prob)
+    lam, phi, residual, solves = _upper_lambda_p(prob)
+    assert (res.lambda_p, res.residual, res.iterations) == (lam, residual, solves)
+    assert res.eigenfunction.tobytes() == phi.tobytes()
+    w = trapezoid_weights(prob.n, prob.spacing)
+    sigma = float(np.max(prob.d * eigen.nonlocal_apply(prob.kernel, prob.spacing, w)))
+    # lambda_p's band, always definite, and the sign test's
+    for shift in (sigma, prob.d - prob.theta0):
+        lower_diags, info, upper_diags, upper_info = _factors_in_both_layouts(prob, shift)
+        assert info == upper_info
+        assert lower_diags.tobytes() == upper_diags.tobytes()
+    assert _subcritical(prob) is (upper_info == 0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [9, 65, 1601])
+def test_lower_storage_matches_upper_storage_oracle(family, n):
+    k = make_kernel(family, 1.0)
+    _assert_matches_upper_oracle(EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=(n - 1) / 8.0, n=n, kernel=k))
+
+
+def test_lower_storage_matches_upper_storage_oracle_on_critical_length_bands(monkeypatch):
+    # the benchmark's critical-length call bisects on kd = 17-18 bands, the
+    # widths at which upper storage took OpenBLAS's threaded path
+    probs = []
+
+    def recorded(prob):
+        probs.append(prob)
+        return _subcritical(prob)
+
+    monkeypatch.setattr(eigen, "_subcritical", recorded)
+    critical_length(1.0, 0.05, TENT)
+    monkeypatch.undo()
+    kds = [min(p.n - 1, math.floor(p.kernel.radius / p.spacing)) for p in probs]
+    assert {17, 18} <= set(kds), kds
+    for prob in probs:
+        _assert_matches_upper_oracle(prob)
+
+
+def test_wide_band_matches_upper_storage_oracle_to_roundoff():
+    """For kd >= 65 LAPACK's pbtrf factors in blocks of 32 columns, and the
+    blocked path updates the two layouts with different BLAS calls, which
+    may sum in another order, so the factors can differ in their last bits.
+    Below that it runs the unblocked pbtf2, whose operations are the same in
+    both layouts, and the factors are bit-identical.  Here a completed factor
+    may differ by 1e-15 of its largest entry (a few ulps; 2.2e-16 was the
+    most seen), lambda_p by 1e-14*d and the sup-normalized eigenfunction by
+    1e-14 (6.6e-16 and 1.0e-15 seen), with the same solve count, and the
+    sign test must agree.  A factorization that fails stops at the same
+    column in both layouts, but leaves its unfinished block updated
+    differently, so only its info is compared."""
+    rng = np.random.default_rng(65)
+    for _ in range(40):
+        radius = rng.uniform(0.3, 2.0)
+        n = int(rng.integers(70, 300))
+        kd = int(rng.integers(65, n))
+        d = rng.uniform(0.2, 3.0)
+        kernel = make_kernel(rng.choice(FAMILIES), radius)
+        ell = radius * (n - 1) / (kd + 0.5)
+        prob = EigenProblem(d=d, theta0=d * rng.uniform(0.0, 1.0), ell1=0.0, ell2=ell, n=n, kernel=kernel)
+        w = trapezoid_weights(n, prob.spacing)
+        sigma = float(np.max(d * eigen.nonlocal_apply(kernel, prob.spacing, w)))
+        lower_diags, info, upper_diags, upper_info = _factors_in_both_layouts(prob, sigma)
+        assert len(lower_diags) == sum(n - m for m in range(kd + 1))
+        assert info == upper_info == 0
+        assert np.max(np.abs(lower_diags - upper_diags)) <= 1e-15 * np.max(np.abs(upper_diags))
+        res = lambda_p(prob)
+        lam, phi, _, solves = _upper_lambda_p(prob)
+        assert abs(res.lambda_p - lam) <= 1e-14 * d
+        assert np.max(np.abs(res.eigenfunction - phi)) <= 1e-14
+        assert res.iterations == solves
+        assert _subcritical(prob) is (_factors_in_both_layouts(prob, d - prob.theta0)[3] == 0)
+
+
+def test_every_factorization_passes_a_lower_band(monkeypatch):
+    # in upper storage OpenBLAS threads the factorization's strided syr
+    # update, several times slower at kd >= 17
+    bands = []
+    real = eigen._pbtrf
+
+    def spy(ab, **kwargs):
+        bands.append((ab.shape, kwargs.get("lower", 0), ab[0].min()))
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(eigen, "_pbtrf", spy)
+    critical_length(1.0, 0.05, TENT)
+    lambda_p(EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=200.0, n=1601, kernel=TENT))
+    assert bands[-1][0] == (9, 1601)
+    # row 0 of a lower band is the positive diagonal
+    assert all(lower == 1 and diagonal_min > 0.0 for _, lower, diagonal_min in bands), bands
 
 
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
@@ -410,8 +564,8 @@ def test_failed_banded_solve_raises_convergence_error(monkeypatch):
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=20.0, n=161, kernel=TENT)
     real = eigen._pbtrs
 
-    def failing(ab, b):
-        return real(ab, b)[0], 3
+    def failing(ab, b, **kwargs):
+        return real(ab, b, **kwargs)[0], 3
 
     monkeypatch.setattr(eigen, "_pbtrs", failing)
     with pytest.raises(ConvergenceError, match="info=3"):
