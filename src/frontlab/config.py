@@ -15,6 +15,7 @@ summary so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -27,9 +28,12 @@ from .solver import RunControl
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"must be finite, got {raw}")
+    return val
 
 
 def _parse_pos_float(raw: str) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError, RegimeError
-from .kernels import Kernel, nonlocal_apply, trapezoid_weights
+from .kernels import Kernel, nonlocal_apply, offset_samples, support_offsets, trapezoid_weights
 
 # sup-norm tolerance on the normalized iterate between solves
 _VEC_TOL = 1e-12
@@ -109,6 +109,9 @@ def default_n(ell1: float, ell2: float, kernel: Kernel) -> int:
     trapezoid rule is exact for kinked kernels and row sums cannot
     exceed unit mass.
     """
+    for name, end in (("ell1", ell1), ("ell2", ell2)):
+        if not math.isfinite(end):
+            raise ValueError(f"{name} must be finite, got {end!r}")
     length = ell2 - ell1
     intervals = math.ceil(length / (kernel.radius / 8.0))
     return max(9, intervals + 1)
@@ -117,10 +120,9 @@ def default_n(ell1: float, ell2: float, kernel: Kernel) -> int:
 def _shifted_band(prob: EigenProblem, sqrt_w: np.ndarray, sigma: float) -> np.ndarray:
     """Lower band storage of sigma*I - S: ab[m, :n-m] holds the offset-m
     diagonal of S, d*J(m*spacing)*sqrt(w_i*w_{i+m}), for m <= b inside the support."""
-    h = prob.spacing
-    n = prob.n
-    b = min(n - 1, math.floor(prob.kernel.radius / h))
-    taps = prob.d * prob.kernel(np.arange(b + 1) * h)[:, None]  # row m: offset m
+    h, n, k = prob.spacing, prob.n, prob.kernel
+    b = support_offsets(k, h, n)
+    taps = prob.d * offset_samples(k, h, b)[:, None]  # row m: offset m
     # row m of the view is padded[m:m+n], so column i holds sqrt_w[i+m];
     # the -0.0 padding leaves +0.0 in the unused columns i >= n-m, as the
     # taps are nonnegative
@@ -229,6 +231,9 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    for name, value in (("d1", d1), ("a", a)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 < a < d1):
         raise RegimeError(
             f"critical length requires 0 < a < d1; got a={a}, d1={d1} "

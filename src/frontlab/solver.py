@@ -23,16 +23,18 @@ positivity under the stability bound.
 
 Runs are stepped in batches (run_batch): runs that share n, the kernel
 and the RunControl advance together with their fields stacked in
-(B, 2, n+1) arrays, and run() is a batch of one.  Each elementwise stage
-(transform coefficients, reaction, kernel taps, upwind assembly, tail
-masses, the min/max checks) is one numpy call for the whole batch.  What
-differs by row stays per row: the dt, and the stability, monotonicity and
-bound checks on Python floats; one convolution with the row's own taps;
-one tridiagonal solve; one fsum per front; recording and the stop rule.
-A row leaves the batch when it stops or fails.  Every row is
-bit-identical to its run stepped alone: an IEEE operation rounds each
-element by itself whatever the array's shape, and the convolution, the
-gtsv solve and the fsum see exactly the row's own operands.
+(B, 2, n+1) arrays, and run() is a batch of one.  Each row first plans
+its step on Python floats (_Row.plan: its dt, fronts, stability check
+and v-solve coefficient); a failed plan ends that run before the array
+work.  The batch then steps the planned rows (_Batch.step) with one numpy
+call per elementwise stage (transform coefficients, reaction, kernel
+taps, upwind assembly, tail masses, the min/max checks); one convolution
+with the row's own taps, one tridiagonal solve, one fsum per front, the
+invariant checks, recording and the stop rule stay per row.  A row
+leaves the batch when it stops or fails.  Every row is bit-identical to
+its run stepped alone: an IEEE operation rounds each element by itself
+whatever the array's shape, and the convolution, the gtsv solve and the
+fsum see exactly the row's own operands.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ class RunControl:
     snapshot_every: int = 0  # 0 disables field snapshots
 
     def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.record_every < 1:
@@ -192,8 +194,8 @@ def solve_banded(alpha: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def boundary_velocities(b: _Batch) -> list[tuple[float, float]]:
-    """Front law for every row of the batch b, as (gdot, hdot):
+def boundary_velocities(b: _Batch) -> None:
+    """Front law for every row of the batch b, stored as the row's gdot and hdot:
     h' = -mu*v_x(h) + rho*int tail(h-x)*u dx, and the mirrored expression
     at g, with v_x the one-sided second-order difference at each front.
     The inner dispersal integral is collapsed into the kernel's closed-form
@@ -218,7 +220,6 @@ def boundary_velocities(b: _Batch) -> list[tuple[float, float]]:
     flux = wq_ref * half * b.k.tail_mass(dist) * np.concatenate((w[:, ::-1][:, :width], w[:, :width]), axis=1)
     z_right, z_left = z[:, :-4:-1].tolist(), z[:, :3].tolist()
     two_dy = 2.0 * b.dy
-    out = []
     for row, m, terms, (zn, zn1, zn2), (z0, z1, z2) in zip(rows, ms, flux.tolist(), z_right, z_left):
         scale = 2.0 / (row.h - row.g)
         # Dirichlet values z0 = zn = 0 are used explicitly
@@ -227,26 +228,55 @@ def boundary_velocities(b: _Batch) -> list[tuple[float, float]]:
         # fsum of a list: the same doubles, so the same sum, at half the cost
         flux_right, flux_left = math.fsum(terms[:m]), math.fsum(terms[width : width + m])
         p = row.p
-        out.append((-p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right))
-    return out
+        row.gdot, row.hdot = -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
 
 
 class _Row:
     """One run of a batch: its parameters and stop rule, the bounds its
-    initial data set, its scalar state and its record.  Its field samples
-    are a row of the batch's arrays."""
+    initial data set, its scalar state, its planned step and its record.
+    Its field samples are a row of the batch's arrays."""
 
     __slots__ = ("p", "stop_rule", "index", "bounds", "rate_cap", "t", "g", "h", "gdot", "hdot",
-                 "last", "prev", "rec", "snapshots")
+                 "end", "last", "prev", "rec", "snapshots")
 
     def __init__(self, p: ModelParams, s0: State, stop_rule: Optional[Callable] = None, index: int = 0):
         self.p, self.stop_rule, self.index = p, stop_rule, index
         self.bounds, self.rate_cap = _data_bounds(p, s0)
         self.t, self.g, self.h = s0.t, s0.g, s0.h
         self.gdot = self.hdot = 0.0
-        self.last, self.prev = False, None
+        self.end, self.last, self.prev = None, False, None
         self.rec = _Recorder()
         self.snapshots: list[Snapshot] = []
+
+    def plan(self, dt: float, b: _Batch) -> tuple:
+        """The row's step by dt with its start-of-step front velocities, as
+        b.step takes it: the step's columns, the kernel's support offsets
+        on the advanced grid and the v-solve's alpha; the advanced (t, g, h)
+        is kept as end.  Raises SolverFailure on a degenerate domain or a
+        dt above the stability bound."""
+        n, dy = b.n, b.dy
+        gdot, hdot = self.gdot, self.hdot
+        g1, h1 = self.g + dt * gdot, self.h + dt * hdot
+        length = h1 - g1
+        if not (length > 0):
+            raise SolverFailure(f"degenerate domain: g={g1}, h={h1}")
+        # coefficients on the advanced geometry, start-of-step velocities:
+        # xi = scale^2 and zeta(y) = scale * (mean + y/2 * spread); zeta is
+        # affine in y and rounding is monotone, so |zeta| peaks at an end node
+        scale = 2.0 / length
+        mean, spread = 0.5 * (gdot + hdot), hdot - gdot
+        zeta_max = max(abs(scale * (mean + -0.5 * spread)), abs(scale * (mean + 0.5 * spread)))
+        dt_cap = _dt_cap(_CFL, dy, zeta_max, self.rate_cap)
+        if dt > dt_cap:
+            raise SolverFailure(
+                f"stability bound violated at t={self.t}: dt={dt:.3e} > {dt_cap:.3e} "
+                f"(max |zeta|={zeta_max:.3e}); rerun with a smaller dt"
+            )
+        self.end = (self.t + dt, g1, h1)
+        spacing = length / n
+        # the advanced habitat, the batch's next geo, then this step's own columns
+        cols = (0.5 * (g1 + h1), length, 0.5 * length, h1, g1, dt, mean, spread, scale, spacing)
+        return cols, support_offsets(b.k, spacing, n + 1), dt * self.p.d2 * (scale * scale) / (dy * dy)
 
     def check_invariants(self, t: float, g: float, h: float, wmax: float, zmax: float) -> None:
         """The state the step reached, at t on [g, h] with field maxima
@@ -300,44 +330,11 @@ class _Batch:
         row = self.rows[i]
         return State(t=row.t, g=row.g, h=row.h, w=self.wz[i, 0], z=self.wz[i, 1])
 
-    def step(self, dts: list[float]) -> list[tuple[_Row, SolverFailure]]:
-        """Advance row i by dts[i] with its start-of-step front velocities.
-        The rows whose step fails leave the batch and are returned with
-        their failure."""
-        k, n, dy = self.k, self.n, self.dy
-        failed, alive, ms, alphas, ends, cols = [], [], [], [], [], []
-        for i, (row, dt) in enumerate(zip(self.rows, dts)):
-            gdot, hdot = row.gdot, row.hdot
-            g1, h1 = row.g + dt * gdot, row.h + dt * hdot
-            length = h1 - g1
-            if not (length > 0):
-                failed.append((row, SolverFailure(f"degenerate domain: g={g1}, h={h1}")))
-                continue
-            # coefficients on the advanced geometry, start-of-step velocities:
-            # xi = scale^2 and zeta(y) = scale * (mean + y/2 * spread); zeta is
-            # affine in y and rounding is monotone, so |zeta| peaks at an end node
-            scale = 2.0 / length
-            mean, spread = 0.5 * (gdot + hdot), hdot - gdot
-            zeta_max = max(abs(scale * (mean + -0.5 * spread)), abs(scale * (mean + 0.5 * spread)))
-            dt_cap = _dt_cap(_CFL, dy, zeta_max, row.rate_cap)
-            if dt > dt_cap:
-                failed.append((row, SolverFailure(
-                    f"stability bound violated at t={row.t}: dt={dt:.3e} > {dt_cap:.3e} "
-                    f"(max |zeta|={zeta_max:.3e}); rerun with a smaller dt"
-                )))
-                continue
-            alive.append(i)
-            spacing = length / n
-            ms.append(support_offsets(k, spacing, n + 1))
-            alphas.append(dt * row.p.d2 * (scale * scale) / (dy * dy))
-            ends.append((row.t + dt, g1, h1))
-            # the advanced habitat, the batch's next geo, then this step's own columns
-            cols.append((0.5 * (g1 + h1), length, 0.5 * length, h1, g1, dt, mean, spread, scale, spacing))
-        if failed:
-            self.keep(alive)
-            if not self.rows:
-                return failed
-
+    def step(self, plans: list[tuple]) -> list[tuple[_Row, SolverFailure]]:
+        """Advance row i by plans[i], its _Row.plan.  The rows whose step
+        fails leave the batch and are returned with their failure."""
+        k, n, dy, rows = self.k, self.n, self.dy, self.rows
+        cols, ms, alphas = zip(*plans)
         cols = _columns(cols)
         half, (dt, mean, spread, scale, spacing) = cols[2], cols[5:]
         zeta = scale * (mean + self.yh * spread)
@@ -369,7 +366,6 @@ class _Batch:
         inner *= dt if len(ms) == 1 else dt[:, :, None]
         inner += self.wz[..., 1:-1]
 
-        rows = self.rows
         errors: dict[int, SolverFailure] = {}
         for i, alpha in enumerate(alphas):
             try:
@@ -381,25 +377,23 @@ class _Batch:
             for i, fmin in enumerate(out.reshape(len(rows), -1).min(axis=1).tolist()):
                 if not fmin >= 0.0 and i not in errors:
                     try:
-                        _clamp_roundoff(out[i, 0], ends[i][0], "u")
-                        _clamp_roundoff(out[i, 1], ends[i][0], "v")
+                        _clamp_roundoff(out[i, 0], rows[i].end[0], "u")
+                        _clamp_roundoff(out[i, 1], rows[i].end[0], "v")
                     except SolverFailure as exc:
                         errors[i] = exc
-        alive = []
-        for i, (row, (t1, g1, h1), (wmax, zmax)) in enumerate(zip(rows, ends, out.max(axis=2).tolist())):
+        for i, (row, (wmax, zmax)) in enumerate(zip(rows, out.max(axis=2).tolist())):
             if i not in errors:
                 try:
-                    row.check_invariants(t1, g1, h1, wmax, zmax)
-                    row.t, row.g, row.h = t1, g1, h1
-                    alive.append(i)
-                    continue
+                    row.check_invariants(*row.end, wmax, zmax)
                 except SolverFailure as exc:
                     errors[i] = exc
-            failed.append((row, errors[i]))
+                else:
+                    row.t, row.g, row.h = row.end
         self.wz, self.geo = out, cols[:5]
-        if errors:
-            self.keep(alive)
-        return failed
+        if not errors:
+            return []
+        self.keep([i for i in range(len(rows)) if i not in errors])
+        return [(rows[i], exc) for i, exc in errors.items()]
 
 
 def _clamp_roundoff(f: np.ndarray, t: float, name: str) -> None:
@@ -503,10 +497,8 @@ def run_batch(jobs: list, k: Kernel, ctrl: RunControl) -> list:
 
     istep = 0
     while True:
-        rows = batch.rows
-        for row, (gdot, hdot) in zip(rows, boundary_velocities(batch)):
-            row.gdot, row.hdot = gdot, hdot
-        alive, dts = [], []
+        boundary_velocities(batch)
+        rows, alive, plans = batch.rows, [], []
         for i, row in enumerate(rows):
             last = row.last
             if last and n_steps is None:
@@ -532,8 +524,7 @@ def run_batch(jobs: list, k: Kernel, ctrl: RunControl) -> list:
             if termination is not None:
                 results[row.index] = row.rec.to_trajectory(termination, n, row.snapshots)
                 continue
-            alive.append(i)
-            # the next step's dt
+            # the next step's dt and its plan
             if n_steps is None:
                 left = horizon - row.t
                 dt = min(auto_dt(n, row.h - row.g, row.gdot, row.hdot, row.rate_cap, row.prev), left)
@@ -541,12 +532,17 @@ def run_batch(jobs: list, k: Kernel, ctrl: RunControl) -> list:
                 row.prev = (row.gdot, row.hdot, dt)
             else:
                 dt, row.last = ctrl.dt, istep + 1 == n_steps
-            dts.append(dt)
+            try:
+                plans.append(row.plan(dt, batch))
+            except SolverFailure as exc:  # this run's own failure, as above
+                results[row.index] = exc
+                continue
+            alive.append(i)
         if len(alive) < len(rows):
             batch.keep(alive)
-        if not batch.rows:
-            return results
-        for row, exc in batch.step(dts):
+            if not batch.rows:
+                return results
+        for row, exc in batch.step(plans):
             results[row.index] = exc
         if not batch.rows:
             return results

@@ -33,10 +33,10 @@ def test_every_tracer_site_resolves():
 
 def test_run_makes_one_solve_per_step_and_one_more_velocity_call(monkeypatch):
     # bench/tracer.py counts solver.steps as calls of solver.solve_banded, so
-    # run() must look it up through the module once per step, and
-    # boundary_velocities once per step plus once for the initial state.
-    # kernels.tail_mass_calls counts Kernel.tail_mass: one call per
-    # boundary_velocities call, for both fronts together.
+    # a batch must look it up through the module once per step of each row,
+    # and boundary_velocities once per batch step plus once for the initial
+    # states.  kernels.tail_mass_calls counts Kernel.tail_mass: one call per
+    # boundary_velocities call, for both fronts of every row together.
     calls = {"solve_banded": 0, "boundary_velocities": 0, "tail_mass": 0}
 
     def counting(owner, name):
@@ -53,10 +53,16 @@ def test_run_makes_one_solve_per_step_and_one_more_velocity_call(monkeypatch):
     monkeypatch.setattr(Kernel, "tail_mass", counting(Kernel, "tail_mass"))
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.2, rho=0.2)
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
-    traj = run(p, init, make_kernel("tent", 1.0), RunControl(horizon=0.5, n=64, dt=0.01, record_every=7))
+    k, ctrl = make_kernel("tent", 1.0), RunControl(horizon=0.5, n=64, dt=0.01, record_every=7)
+    traj = run(p, init, k, ctrl)
     assert traj.termination == "horizon"
     steps = math.ceil(0.5 / 0.01)
     assert calls == {"solve_banded": steps, "boundary_velocities": steps + 1, "tail_mass": steps + 1}
+
+    calls.update(dict.fromkeys(calls, 0))
+    jobs = [(p, InitialData.cosine(h0=h0, amp_u=0.3, amp_v=0.3), None) for h0 in (0.8, 1.0, 1.2)]
+    assert [traj.termination for traj in solver.run_batch(jobs, k, ctrl)] == ["horizon"] * 3
+    assert calls == {"solve_banded": 3 * steps, "boundary_velocities": steps + 1, "tail_mass": steps + 1}
 
 
 def test_auto_dt_run_looks_up_auto_dt_once_per_step(monkeypatch):

@@ -300,10 +300,24 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys):
     assert "unknown key 'classify.spread_length'" in err["message"]
 
 
-def test_bad_flag_value_exit_code(tmp_path, capsys):
-    assert main(["eigen", "--d", "-1", "--theta0", "0", "--length", "2"]) == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eigen", "--d", "-1", "--theta0", "0", "--length", "2"], "d must be positive and finite"),
+        (["eigen", "--d", "1", "--theta0", "0", "--length", "inf"], "ell2 must be finite, got inf"),
+        (["eigen", "--d", "1", "--theta0", "0", "--length", "nan"], "ell2 must be finite, got nan"),
+        (["critical-length", "--d1", "nan", "--a", "0.5"], "d1 must be finite, got nan"),
+        (["critical-length", "--d1", "inf", "--a", "0.5"], "d1 must be finite, got inf"),
+        (["critical-length", "--d1", "1", "--a", "nan"], "a must be finite, got nan"),
+    ],
+    ids=["eigen-d=-1", "eigen-length=inf", "eigen-length=nan", "crit-d1=nan", "crit-d1=inf", "crit-a=nan"],
+)
+def test_bad_flag_value_exit_code(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+    assert err["message"].startswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_unstable_dt_exit_code(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Flat dotted-key config: parsing, diagnostics, round-trip stability."""
 
+import math
+
 import pytest
 
 from frontlab import ClassifyTolerances, ConfigError, RunControl, ScanControl, load_config
@@ -60,6 +62,21 @@ def test_bad_value_reports_line_and_key():
         parse_config(MINIMAL.replace("model.a = 0.8", "model.a = -1"))
     msg = str(err.value)
     assert "model.a" in msg and "line 6" in msg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("numerics.horizon", "inf"), ("numerics.dt", "nan"), ("init.amp_u", "-inf"), ("sweep.h0", "0.5, inf")],
+)
+def test_non_finite_value_reports_line_and_key(key, value):
+    with pytest.raises(ConfigError, match=f"^line 12: {key}: must be finite, got "):
+        parse_config(MINIMAL + f"{key} = {value}\n")
+
+
+def test_run_control_rejects_non_finite_horizon():
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            RunControl(horizon=horizon)
 
 
 def test_malformed_line_rejected():

@@ -37,15 +37,16 @@ def _batch(p: ModelParams, k: Kernel, s: State) -> solver._Batch:
 
 def velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
     """(gdot, hdot) at s from the solver's front law."""
-    return solver.boundary_velocities(_batch(p, k, s))[0]
+    batch = _batch(p, k, s)
+    solver.boundary_velocities(batch)
+    return batch.rows[0].gdot, batch.rows[0].hdot
 
 
 def step(s: State, p: ModelParams, k: Kernel, dt: float) -> State:
     """One IMEX Euler step from s, with the field bounds taken from s as initial data."""
     batch = _batch(p, k, s)
-    row = batch.rows[0]
-    row.gdot, row.hdot = solver.boundary_velocities(batch)[0]
-    failed = batch.step([dt])
+    solver.boundary_velocities(batch)
+    failed = batch.step([batch.rows[0].plan(dt, batch)])
     if failed:
         raise failed[0][1]
     return batch.state(0)
@@ -633,11 +634,13 @@ def test_step_and_velocities_match_field_by_field_oracle(family, kind, dt, h0):
 
 @pytest.mark.parametrize("dt", [0.004, None], ids=["fixed-dt", "auto-dt"])
 @pytest.mark.parametrize("family", ["tent", "truncated_gaussian"])
-def test_batch_rows_match_their_runs_alone(family, dt):
+def test_batch_rows_match_their_runs_alone(family, dt, monkeypatch):
     # five rows: both kinds, different mu, rho and h0, and one row that its
     # stop rule ends early.  Under dt = auto every row takes its own dts;
     # a fixed dt is shared, and the third row's fronts speed up until it
-    # breaks that row's stability bound after three steps
+    # breaks that row's stability bound after three steps.  A sixth row
+    # fails its invariant check on the first step that ends past t = 0.014:
+    # under the fixed dt, the step in which the third row fails its plan
     def squared(h0, amp):
         return lambda x: amp * np.clip(np.cos(0.5 * np.pi * np.asarray(x, dtype=float) / h0), 0.0, None) ** 2
 
@@ -655,15 +658,26 @@ def test_batch_rows_match_their_runs_alone(family, dt):
         ),
         (params("competition", 0.05, 0.05), InitialData.cosine(1.0, 0.2, 0.2), None),
     ]
+    doomed = params("competition", 0.3, 2.0)
+    jobs.append((doomed, jobs[0][1], None))
+    check_invariants = solver._Row.check_invariants
+
+    def failing_after_the_arithmetic(row, t, g, h, wmax, zmax):
+        if row.p is doomed and t > 0.014:
+            raise SolverFailure(f"injected failure at t={t}")
+        check_invariants(row, t, g, h, wmax, zmax)
+
+    monkeypatch.setattr(solver._Row, "check_invariants", failing_after_the_arithmetic)
     k = make_kernel(family, 1.0)
     ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=3, snapshot_every=11)
     results = solver.run_batch(jobs, k, ctrl)
     failing = ["SolverFailure"] if dt else ["Trajectory"]
-    assert [type(r).__name__ for r in results] == ["Trajectory"] * 2 + failing + ["Trajectory"] * 2
+    assert [type(r).__name__ for r in results] == ["Trajectory"] * 2 + failing + ["Trajectory"] * 2 + ["SolverFailure"]
     if dt:
         assert str(results[2]).startswith("stability bound violated at t=0.012")
+        assert str(results[5]).startswith("injected failure at t=0.016")
     assert results[3].termination == "stop:probe" and results[3].t[-1] < 0.3
-    for result, (p, init, stop_rule) in zip(results, jobs):
+    for result, (p, init, stop_rule) in zip(results[:5], jobs):
         try:
             want = _oracle_run(p, init, k, ctrl, stop_rule)
         except SolverFailure as exc:
@@ -677,11 +691,12 @@ def test_batch_step_fails_only_the_degenerate_row():
     s0 = initial_state(init, 64)
     rows = [solver._Row(_params(), s0) for _ in range(3)]
     batch = solver._Batch(TENT, rows, np.array([(s0.w, s0.z)] * 3))
-    for row, (gdot, hdot) in zip(rows, solver.boundary_velocities(batch)):
-        row.gdot, row.hdot = gdot, hdot
+    solver.boundary_velocities(batch)
     rows[1].gdot, rows[1].hdot = 150.0, -150.0  # the fronts cross within the step
-    failed = batch.step([0.01] * 3)
-    assert [(row is rows[1], str(exc)) for row, exc in failed] == [(True, "degenerate domain: g=0.5, h=-0.5")]
+    with pytest.raises(SolverFailure, match=r"^degenerate domain: g=0\.5, h=-0\.5$"):
+        rows[1].plan(0.01, batch)
+    batch.keep([0, 2])
+    assert batch.step([rows[0].plan(0.01, batch), rows[2].plan(0.01, batch)]) == []
     assert batch.rows == [rows[0], rows[2]]
     alone = step(s0, _params(), TENT, 0.01)
     for i in (0, 1):
