@@ -387,23 +387,11 @@ def _sweep_batch(cells: list) -> list[dict]:
     for out, job in prepared:
         res = job if isinstance(job, Exception) else next(results)
         if isinstance(res, Exception):
-            out.update(
-                verdict="Failed",
-                certificate=type(res).__name__,
-                final_length=math.nan,
-                sup_u=math.nan,
-                sup_v=math.nan,
-                lambda_p_final=math.nan,
-            )
-        else:
-            out.update(
-                verdict=res.verdict,
-                certificate=res.certificate,
-                final_length=res.final_length,
-                sup_u=res.final_sup_u,
-                sup_v=res.final_sup_v,
-                lambda_p_final=res.lambda_p_final,
-            )
+            res = Classification("Failed", type(res).__name__, None, *[math.nan] * 6)
+        # a result column reads the Classification field of its name, or
+        # final_<name> where the field has that prefix (sup_u, sup_v)
+        for name in PHASE_COLUMNS[len(SWEEP_AXES):]:
+            out[name] = getattr(res, name if hasattr(res, name) else "final_" + name)
         rows.append(out)
     return rows
 

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 configuration or usage errors, 3 solver or
 convergence failures, 4 inconclusive outcomes, 5 parameter-regime
 errors, 1 anything unexpected.  Errors are also written as a one-line
 JSON record to stderr.  The output directory comes from --out-dir, then
-the FRONTLAB_OUTDIR environment variable, then the config.
+the FRONTLAB_OUTDIR environment variable, then the config.  A config
+command writes its JSON record when output.formats includes json or when
+it has no other artifact; eigen and critical-length always write theirs.
 """
 
 from __future__ import annotations
@@ -53,89 +55,100 @@ def _config_echo(cfg: RunConfig) -> dict:
     return {key: cfg.resolved[key] for key in sorted(cfg.resolved)}
 
 
-def _emit_trajectory(outdir: str, cfg: RunConfig, traj: Trajectory) -> tuple[list, list]:
-    """Trajectory and snapshot CSVs, when csv output is on; returns the
-    paths written and the records of the snapshot files."""
-    if "csv" not in cfg.formats:
-        return [], []
-    path = os.path.join(outdir, "trajectory.csv")
-    atomic_write_text(path, trajectory_csv(traj))
-    snapshot_records = write_snapshots(outdir, traj)
-    return [path] + [os.path.join(outdir, rec["file"]) for rec in snapshot_records], snapshot_records
-
-
-def _final_record(traj: Trajectory) -> dict:
-    return {
-        "t": float(traj.t[-1]),
-        "g": float(traj.g[-1]),
-        "h": float(traj.h[-1]),
-        "length": float(traj.h[-1] - traj.g[-1]),
-        "gdot": float(traj.gdot[-1]),
-        "hdot": float(traj.hdot[-1]),
-        "sup_u": float(traj.sup_u[-1]),
-        "sup_v": float(traj.sup_v[-1]),
-    }
-
-
-def cmd_simulate(args) -> int:
+def _load(args) -> tuple[RunConfig, str]:
+    """A config command's config and its output directory, created."""
     cfg = load_config(args.config)
-    outdir = _resolve_outdir(args, cfg)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics)
-    written, snapshot_records = _emit_trajectory(outdir, cfg, traj)
-    if "json" in cfg.formats:
-        summary = {
-            "command": "simulate",
-            "termination": traj.termination,
-            "samples": len(traj.t),
-            "final": _final_record(traj),
-            "snapshots": snapshot_records,
-            "config": _config_echo(cfg),
-        }
-        path = os.path.join(outdir, "summary.json")
-        write_json(path, summary)
-        written.append(path)
+    return cfg, _resolve_outdir(args, cfg)
+
+
+def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), message=None) -> int:
+    """A config command's tail: the record, the config echo its last key, to
+    outdir/name when json output is on or nothing else was written; then the
+    message line, if any, and one 'wrote' line per file, in write order."""
+    if "json" in cfg.formats or not written:
+        written = [*written, os.path.join(outdir, name)]
+        write_json(written[-1], {**record, "config": _config_echo(cfg)})
+    if message is not None:
+        print(message)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
+def _emit_flag(args, name: str, record: dict) -> int:
+    """A flag command's tail: the record to name in the output directory, and on stdout."""
+    write_json(os.path.join(_resolve_outdir(args), name), record)
+    sys.stdout.write(dumps_json(record))
+    return EXIT_OK
+
+
+def _emit_csv(outdir: str, cfg: RunConfig, name: str, render) -> list:
+    """render() to outdir/name when csv output is on; the paths written."""
+    if "csv" not in cfg.formats:
+        return []
+    path = os.path.join(outdir, name)
+    atomic_write_text(path, render())
+    return [path]
+
+
+def _emit_trajectory(outdir: str, cfg: RunConfig, traj: Trajectory) -> tuple[list, list]:
+    """Trajectory and snapshot CSVs, when csv output is on; returns the
+    paths written and the records of the snapshot files."""
+    written = _emit_csv(outdir, cfg, "trajectory.csv", lambda: trajectory_csv(traj))
+    snapshot_records = write_snapshots(outdir, traj) if written else []
+    return written + [os.path.join(outdir, rec["file"]) for rec in snapshot_records], snapshot_records
+
+
+def cmd_simulate(args) -> int:
+    cfg, outdir = _load(args)
+    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics)
+    written, snapshot_records = _emit_trajectory(outdir, cfg, traj)
+    summary = {
+        "command": "simulate",
+        "termination": traj.termination,
+        "samples": len(traj.t),
+        "final": {
+            "t": float(traj.t[-1]),
+            "g": float(traj.g[-1]),
+            "h": float(traj.h[-1]),
+            "length": float(traj.h[-1] - traj.g[-1]),
+            "gdot": float(traj.gdot[-1]),
+            "hdot": float(traj.hdot[-1]),
+            "sup_u": float(traj.sup_u[-1]),
+            "sup_v": float(traj.sup_v[-1]),
+        },
+        "snapshots": snapshot_records,
+    }
+    return _emit(outdir, cfg, "summary.json", summary, written)
+
+
 def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _resolve_outdir(args, cfg)
+    cfg, outdir = _load(args)
     stop = make_dichotomy_stop(cfg.model, cfg.kernel, cfg.numerics.horizon, cfg.tols)
     traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics, stop_rule=stop)
     cls = classify(traj, cfg.model, cfg.kernel, cfg.tols)
     written, _ = _emit_trajectory(outdir, cfg, traj)
-    if "json" in cfg.formats:
-        record = {
-            "command": "classify",
-            "verdict": cls.verdict,
-            "certificate": cls.certificate,
-            "fired_at": cls.fired_at,
-            "evidence": {
-                "final_length": cls.final_length,
-                "final_sup_u": cls.final_sup_u,
-                "final_sup_v": cls.final_sup_v,
-                "final_gdot": cls.final_gdot,
-                "final_hdot": cls.final_hdot,
-                "lambda_p_final": cls.lambda_p_final,
-            },
-            "note": cls.note,
-            "termination": traj.termination,
-            "config": _config_echo(cfg),
-        }
-        path = os.path.join(outdir, "classification.json")
-        write_json(path, record)
-        written.append(path)
-    print(f"{cls.verdict} ({cls.certificate})")
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    record = {
+        "command": "classify",
+        "verdict": cls.verdict,
+        "certificate": cls.certificate,
+        "fired_at": cls.fired_at,
+        "evidence": {
+            "final_length": cls.final_length,
+            "final_sup_u": cls.final_sup_u,
+            "final_sup_v": cls.final_sup_v,
+            "final_gdot": cls.final_gdot,
+            "final_hdot": cls.final_hdot,
+            "lambda_p_final": cls.lambda_p_final,
+        },
+        "note": cls.note,
+        "termination": traj.termination,
+    }
+    return _emit(outdir, cfg, "classification.json", record, written, f"{cls.verdict} ({cls.certificate})")
 
 
 def cmd_threshold(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _resolve_outdir(args, cfg)
+    cfg, outdir = _load(args)
     est = estimate_threshold(
         cfg.model, cfg.init_data(), cfg.kernel, ray=cfg.ray, ctrl=cfg.scan, tols=cfg.tols
     )
@@ -146,84 +159,58 @@ def cmd_threshold(args) -> int:
         "upper": est.upper,
         "monotone_flag": est.monotone_flag,
         "scanned": [[s, verdict] for s, verdict in est.scanned],
-        "config": _config_echo(cfg),
     }
-    path = os.path.join(outdir, "threshold.json")
-    write_json(path, record)
-    print(f"threshold bracket: [{est.lower:.6g}, {est.upper:.6g}] (monotone={est.monotone_flag})")
-    print(f"wrote {path}")
-    return EXIT_OK
+    message = f"threshold bracket: [{est.lower:.6g}, {est.upper:.6g}] (monotone={est.monotone_flag})"
+    return _emit(outdir, cfg, "threshold.json", record, message=message)
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _resolve_outdir(args, cfg)
+    cfg, outdir = _load(args)
     if not cfg.sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<axis> key in the config")
     workers = args.workers if args.workers is not None else cfg.sweep_workers
     table = sweep(cfg, workers=workers)
-    written = []
-    if "csv" in cfg.formats:
-        path = os.path.join(outdir, "phase_table.csv")
-        atomic_write_text(path, phase_csv(table))
-        written.append(path)
-    if "json" in cfg.formats:
-        counts: dict[str, int] = {}
-        for row in table.rows:
-            counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
-        summary = {
-            "command": "sweep",
-            "cells": len(table.rows),
-            "verdict_counts": {key: counts[key] for key in sorted(counts)},
-            "config": _config_echo(cfg),
-        }
-        path = os.path.join(outdir, "sweep_summary.json")
-        write_json(path, summary)
-        written.append(path)
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    written = _emit_csv(outdir, cfg, "phase_table.csv", lambda: phase_csv(table))
+    verdicts = [row["verdict"] for row in table.rows]
+    summary = {
+        "command": "sweep",
+        "cells": len(table.rows),
+        "verdict_counts": {key: verdicts.count(key) for key in sorted(set(verdicts))},
+    }
+    return _emit(outdir, cfg, "sweep_summary.json", summary, written)
 
 
 def cmd_supersolution_check(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _resolve_outdir(args, cfg)
+    cfg, outdir = _load(args)
     p, k = cfg.model, cfg.kernel
     spec = build_vanishing_supersolution(p, cfg.init_data(), k, cfg.h1)
     snapshot_every = cfg.numerics.snapshot_every or cfg.numerics.record_every
     traj = run(p, cfg.init_data(), k, replace(cfg.numerics, snapshot_every=snapshot_every))
     report = check_domination(spec, traj)
     written, _ = _emit_trajectory(outdir, cfg, traj)
-    if "json" in cfg.formats:
-        record = {
-            "command": "supersolution-check",
-            "case": spec.case,
-            "h1": spec.h1,
-            "lambda": spec.lam,
-            "budget": report.budget,
-            "mu_plus_rho": report.mu_plus_rho,
-            "budget_ok": report.budget_ok,
-            "dominated": report.dominated,
-            "tol": report.tol,
-            "max_violations": {
-                "u": report.max_violation_u,
-                "v": report.max_violation_v,
-                "h": report.max_violation_h,
-                "g": report.max_violation_g,
-            },
-            "constants": {key: spec.constants[key] for key in sorted(spec.constants)},
-            "hbar_limit_bound": spec.hbar_limit_bound,
-            "samples_checked": report.samples_checked,
-            "termination": traj.termination,
-            "config": _config_echo(cfg),
-        }
-        path = os.path.join(outdir, "domination.json")
-        write_json(path, record)
-        written.append(path)
-    print(f"dominated={report.dominated} budget_ok={report.budget_ok}")
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    record = {
+        "command": "supersolution-check",
+        "case": spec.case,
+        "h1": spec.h1,
+        "lambda": spec.lam,
+        "budget": report.budget,
+        "mu_plus_rho": report.mu_plus_rho,
+        "budget_ok": report.budget_ok,
+        "dominated": report.dominated,
+        "tol": report.tol,
+        "max_violations": {
+            "u": report.max_violation_u,
+            "v": report.max_violation_v,
+            "h": report.max_violation_h,
+            "g": report.max_violation_g,
+        },
+        "constants": {key: spec.constants[key] for key in sorted(spec.constants)},
+        "hbar_limit_bound": spec.hbar_limit_bound,
+        "samples_checked": report.samples_checked,
+        "termination": traj.termination,
+    }
+    message = f"dominated={report.dominated} budget_ok={report.budget_ok}"
+    return _emit(outdir, cfg, "domination.json", record, written, message)
 
 
 def cmd_eigen(args) -> int:
@@ -241,11 +228,7 @@ def cmd_eigen(args) -> int:
         "residual": res.residual,
         "iterations": res.iterations,
     }
-    outdir = _resolve_outdir(args)
-    path = os.path.join(outdir, "eigen.json")
-    write_json(path, record)
-    sys.stdout.write(dumps_json(record))
-    return EXIT_OK
+    return _emit_flag(args, "eigen.json", record)
 
 
 def cmd_critical_length(args) -> int:
@@ -262,11 +245,7 @@ def cmd_critical_length(args) -> int:
         "bracket": list(res.bracket),
         "n": res.n,
     }
-    outdir = _resolve_outdir(args)
-    path = os.path.join(outdir, "critical_length.json")
-    write_json(path, record)
-    sys.stdout.write(dumps_json(record))
-    return EXIT_OK
+    return _emit_flag(args, "critical_length.json", record)
 
 
 @lru_cache(maxsize=1)

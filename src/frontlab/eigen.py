@@ -12,9 +12,17 @@ Perron pair and lambda_p = nu_top + theta0 - d.
 
 The Perron pair is found by inverse iteration on the banded symmetric
 S = sqrt(W) M sqrt(W)^-1, shifted by sigma = the largest row sum of M:
-a Perron-Frobenius bound on nu_top, strict as the edge rows carry half
-weights, so sigma*I - S is positive definite and one banded Cholesky
-factor serves every solve.  A solve shrinks the error by (sigma - nu_top)
+a Perron-Frobenius bound on nu_top, strict in exact arithmetic as the
+edge rows carry half weights, so sigma*I - S is positive definite and one
+banded Cholesky factor serves every solve.  In floating point sigma can
+tie nu_top: on an interval so short that J is flat to rounding across it
+(tent below about 3e-15 radii, the other families below about 6e-9),
+pbtrf may then find sigma*I - S not positive definite.  lambda_p factors
+once more at sigma*(1 + 2^-40) in that case only, so every problem that
+factors at sigma keeps its bits.  The retried solve grows the iterate by
+about 2^40/sigma, which overflows once d*length is below about 1e-292
+kernel radii; lambda_p rejects lengths below 2^-900 (1.2e-271) radii,
+which covers every d above about 1e-20.  A solve shrinks the error by (sigma - nu_top)
 / (sigma - nu_2), about 1/4 at any length as both gaps scale as
 1/length^2.  The reported eigenvalue is the weighted Rayleigh quotient
 of the returned eigenvector, so Rayleigh consistency holds to roundoff.
@@ -53,6 +61,10 @@ _VEC_TOL = 1e-12
 _MAX_SOLVES = 50
 # operator-application residual, relative to the dispersal scale d
 _RESIDUAL_TOL = 1e-8
+# lambda_p's relative shift when sigma ties nu_top; 2^-52 is too small for the tent
+_RETRY_SHIFT = 2.0**-40
+# shortest interval lambda_p takes, in kernel radii; see module docstring
+_MIN_RADII = 2.0**-900
 # critical_length searches lengths up to this many kernel radii
 _ELL_MAX_RADII = 50.0
 
@@ -153,10 +165,15 @@ def _subcritical(prob: EigenProblem) -> bool:
 
 def lambda_p(prob: EigenProblem) -> EigenResult:
     """Top eigenpair of the discretized operator; see module docstring."""
+    length = prob.ell2 - prob.ell1
+    if length / prob.kernel.radius < _MIN_RADII:
+        raise ValueError(f"interval length {length!r} too short: lambda_p needs at least 2^-900 kernel radii")
     w = trapezoid_weights(prob.n, prob.spacing)
     sqrt_w = np.sqrt(w)
     sigma = float(np.max(prob.d * nonlocal_apply(prob.kernel, prob.spacing, w)))
     factor, info = _cholesky(_shifted_band(prob, sqrt_w, sigma))
+    if info > 0:  # sigma ties nu_top in floating point; see module docstring
+        factor, info = _cholesky(_shifted_band(prob, sqrt_w, sigma * (1.0 + _RETRY_SHIFT)))
     if info > 0:
         raise ConvergenceError(
             f"shifted eigenproblem not positive definite: {info}-th leading minor not positive definite"

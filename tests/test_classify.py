@@ -376,6 +376,14 @@ def test_sweep_records_failures_without_aborting():
     assert math.isnan(bad["final_length"])
 
 
+def test_sweep_failed_cell_rows_byte_identical_across_worker_counts():
+    # the h0 = -1 cells fail while they are set up, before any run
+    cfg = _sweep_config("sweep.h0 = 0.2, -1\nsweep.mu = 1e-6, 10.0\n", horizon=10.0)
+    serial = sweep(cfg, workers=1)
+    assert [row["verdict"] for row in serial.rows].count("Failed") == 2
+    assert phase_csv(sweep(cfg, workers=2)) == phase_csv(serial)  # byte-identical
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ConfigError) as err:
         _sweep_config("sweep.b = 0.1, 0.2\n")

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from frontlab import cli, lambda_p_interval, make_kernel
-from frontlab.config import render_config
+from frontlab.config import load_config, render_config
 from frontlab.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -309,8 +309,17 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys):
         (["critical-length", "--d1", "nan", "--a", "0.5"], "d1 must be finite, got nan"),
         (["critical-length", "--d1", "inf", "--a", "0.5"], "d1 must be finite, got inf"),
         (["critical-length", "--d1", "1", "--a", "nan"], "a must be finite, got nan"),
+        (["eigen", "--d", "1", "--theta0", "0.5", "--length", "1e-300"], "interval length 1e-300 too short"),
     ],
-    ids=["eigen-d=-1", "eigen-length=inf", "eigen-length=nan", "crit-d1=nan", "crit-d1=inf", "crit-a=nan"],
+    ids=[
+        "eigen-d=-1",
+        "eigen-length=inf",
+        "eigen-length=nan",
+        "crit-d1=nan",
+        "crit-d1=inf",
+        "crit-a=nan",
+        "eigen-length=1e-300",
+    ],
 )
 def test_bad_flag_value_exit_code(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -355,6 +364,73 @@ def test_automatic_h1_regime_error_names_half_the_critical_length(tmp_path, caps
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "RegimeError"
     assert "needs h0 < ell*/2 = 0.316045; got h0=0.4; set supersolution.h1" in err["message"]
+
+
+def test_habitat_flat_to_rounding_is_classified(tmp_path, capsys):
+    # at h0 = 1e-12 the bump kernel is flat to rounding across the habitat,
+    # so the final habitat's eigenproblem needs lambda_p's shift retry
+    text = BASE.replace("kernel.family = tent", "kernel.family = parabolic_bump")
+    text = text.replace("init.h0 = 1.0", "init.h0 = 1e-12")
+    text = text.replace("numerics.dt = 0.02", "numerics.dt = auto")
+    cfg = _write(tmp_path, text + "output.formats = json\n")
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    record = json.loads((out / "classification.json").read_text())
+    assert record["evidence"]["lambda_p_final"] == pytest.approx(0.8 - 1.0, abs=1e-4)
+
+
+def test_threshold_from_habitat_flat_to_rounding_is_inconclusive(tmp_path, capsys):
+    text = THRESHOLD_CFG.replace("kernel.family = tent", "kernel.family = parabolic_bump")
+    cfg = _write(tmp_path, text.replace("init.h0 = 0.25", "init.h0 = 1e-9"))
+    assert main(["threshold", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().err)["error"] == "InconclusiveError"
+
+
+# (config, JSON record) of every config command; the sweep has a Failed cell
+ARTIFACT_CASES = {
+    "simulate": (BASE + "numerics.snapshot_every = 40\n", "summary.json"),
+    "classify": (BASE, "classification.json"),
+    "threshold": (THRESHOLD_CFG, "threshold.json"),
+    "sweep": (BASE + "sweep.h0 = 0.2, -1\n", "sweep_summary.json"),
+    "supersolution-check": (SUPER_CFG, "domination.json"),
+}
+
+
+@pytest.mark.parametrize("formats", ["csv,json", "json", "csv"])
+@pytest.mark.parametrize("command", list(ARTIFACT_CASES))
+def test_config_command_artifacts(tmp_path, capsys, command, formats):
+    """The 'wrote' lines close stdout and name exactly the files written;
+    the JSON record is written per output.formats, and always by a command
+    with no other artifact; its last key is the resolved config."""
+    text, record_name = ARTIFACT_CASES[command]
+    cfg = _write(tmp_path, text + f"output.formats = {formats}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+    assert lines[len(lines) - len(wrote) :] == [f"wrote {path}" for path in wrote]
+    assert sorted(wrote) == sorted(str(path) for path in out.iterdir())
+    records = [path for path in wrote if path.endswith(".json")]
+    writes_json = "json" in formats or command == "threshold"
+    assert records == ([str(out / record_name)] if writes_json else [])
+    for path in records:
+        record = json.loads((out / record_name).read_text())
+        assert list(record)[-1] == "config"
+        assert record["config"] == load_config(cfg).resolved
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["eigen", "--d", "1", "--theta0", "0.5", "--length", "4"], "eigen.json"),
+        (["critical-length", "--d1", "1", "--a", "0.5"], "critical_length.json"),
+    ],
+)
+def test_flag_command_stdout_is_its_one_file(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_OK
+    assert [path.name for path in out.iterdir()] == [name]
+    assert capsys.readouterr().out == (out / name).read_text()
 
 
 def test_unknown_subcommand_exits_via_argparse():

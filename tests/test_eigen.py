@@ -365,6 +365,39 @@ def test_interval_too_long_for_a_dense_matrix():
     assert res.lambda_p > lambda_p_interval(d, theta0, 0.0, 200.0, TENT).lambda_p
 
 
+@pytest.mark.parametrize(
+    "family, length",
+    [
+        ("tent", 1e-20),
+        ("parabolic_bump", 1e-12),
+        ("parabolic_bump", 1e-9),
+        ("truncated_gaussian", 1e-20),
+        ("truncated_gaussian", 1e-100),
+    ],
+)
+def test_interval_flat_to_rounding_matches_dense_oracle(family, length):
+    # J is flat to rounding across these intervals, so sigma ties nu_top and
+    # sigma*I - S has no Cholesky factor; lambda_p factors again a little above
+    k = make_kernel(family, 1.0)
+    prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=length, n=default_n(0.0, length, k), kernel=k)
+    w = trapezoid_weights(prob.n, prob.spacing)
+    sigma = float(np.max(prob.d * eigen.nonlocal_apply(k, prob.spacing, w)))
+    assert _cholesky(_shifted_band(prob, np.sqrt(w), sigma))[1] > 0
+    res = lambda_p(prob)
+    assert res.lambda_p == pytest.approx(dense_lambda(1.0, 0.5, 0.0, length, prob.n, k), abs=1e-12)
+    assert res.lambda_p == pytest.approx(0.5 - 1.0, abs=1e-4)
+    assert np.all(res.eigenfunction > 0.0)
+
+
+def test_interval_too_short_for_the_shifted_solve():
+    # at 1e-300 the retried solve overflows; lambda_p rejects lengths below 2^-900 radii
+    with pytest.raises(ValueError, match="interval length 1e-300 too short"):
+        lambda_p_interval(1.0, 0.5, 0.0, 1e-300, TENT)
+    assert lambda_p_interval(1.0, 0.5, 0.0, 1e-270, TENT).lambda_p == pytest.approx(-0.5, abs=1e-12)
+    # a tiny d alone is no reason to reject an interval
+    assert lambda_p_interval(1e-300, 0.0, 0.0, 1.0, TENT).lambda_p < 0.0
+
+
 def test_solve_count_does_not_grow_with_length():
     # both spectral gaps under the shift scale as 1/length^2, so the
     # convergence factor per solve, and the solve count, stay fixed
