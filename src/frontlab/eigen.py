@@ -50,8 +50,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from . import _lapack
 from .errors import ConvergenceError, RegimeError
 from .kernels import Kernel, nonlocal_apply, offset_samples, support_offsets, trapezoid_weights
 
@@ -68,9 +68,9 @@ _MIN_RADII = 2.0**-900
 # critical_length searches lengths up to this many kernel radii
 _ELL_MAX_RADII = 50.0
 
-# the LAPACK routines behind cholesky_banded and cho_solve_banded, fetched once:
-# the wrappers copy and re-validate the band on every call
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+# the LAPACK routines behind scipy's cholesky_banded and cho_solve_banded,
+# called directly: the wrappers copy and re-validate the band on every call
+_pbtrf, _pbtrs = _lapack.dpbtrf, _lapack.dpbtrs
 
 
 @dataclass(frozen=True)

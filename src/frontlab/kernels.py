@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erf
 
 KNOWN_FAMILIES = ("tent", "parabolic_bump", "truncated_gaussian")
 
@@ -57,6 +56,8 @@ class Kernel:
             return (r - s) ** 2 / (2.0 * r * r)
         if self.family == "parabolic_bump":
             return 0.5 - 0.75 * s / r + 0.25 * (s / r) ** 3
+        from scipy.special import erf
+
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)
         gauss_part = math.sqrt(math.pi / 2.0) * sig * (
@@ -64,10 +65,19 @@ class Kernel:
         )
         return self._gauss_norm * (gauss_part - (r - s) * edge)
 
+    def __post_init__(self):
+        # scipy.special is imported here, when a truncated_gaussian kernel is
+        # made, and by no other family: a sweep's pool workers, forked after
+        # the kernel exists, inherit the module instead of importing it
+        if self.family == "truncated_gaussian":
+            self._gauss_norm
+
     @cached_property
     def _gauss_norm(self) -> float:
-        # truncated_gaussian's 1/mass, computed on first use; the cache lives
-        # in the instance __dict__, outside the fields that eq and hash read
+        # truncated_gaussian's 1/mass; the cache lives in the instance
+        # __dict__, outside the fields that eq and hash read
+        from scipy.special import erf
+
         r = self.radius
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)

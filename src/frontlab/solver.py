@@ -45,8 +45,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
+from . import _lapack
 from .errors import SolverFailure
 from .kernels import Kernel, apply_taps, kernel_taps, support_offsets, trapezoid_weights
 from .model import Bounds, InitialData, ModelParams, field_bounds, reaction
@@ -58,8 +59,8 @@ _BOUND_SLACK = 1e-8
 # safety factor in the stability bound dt <= 0.4*min(...)
 _CFL = 0.4
 
-# LAPACK's tridiagonal solver, fetched once for every v-solve
-_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+# LAPACK's tridiagonal solver, bound once for every v-solve
+_gtsv = _lapack.dgtsv
 
 # per-sample trajectory columns, in the order they are recorded and written
 TRAJECTORY_COLUMNS = ("t", "g", "h", "gdot", "hdot", "sup_u", "sup_v", "u_center", "v_center")
@@ -177,9 +178,10 @@ def _dt_cap(safety: float, dy: float, zeta: float, rate_cap: float) -> float:
 
 def solve_banded(alpha: float, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with constant diagonals (-alpha,
-    1 + 2*alpha, -alpha) for b: the gtsv call scipy.linalg.solve_banded
-    makes on that band, so the same bits, without the wrapper's per-call
-    validation, which costs several times the solve at the step's sizes.
+    1 + 2*alpha, -alpha) for b by LAPACK dgtsv from _lapack: the call
+    scipy.linalg.solve_banded makes on that band, so the same bits, without
+    the wrapper's per-call validation, which costs several times the solve
+    at the step's sizes.
     Raises LinAlgError on an exactly singular pivot."""
     # empty + fill: np.full's Python-level wrapper costs more than the fill
     off = np.empty(len(b) - 1)
@@ -407,7 +409,21 @@ def _clamp_roundoff(f: np.ndarray, t: float, name: str) -> None:
         np.clip(f, 0.0, None, out=f)
 
 
+# shortest initial half-width a run takes: the mapped frame's factor
+# (2/(h-g))^2 = 1/h0^2 overflows below about 7.5e-155, and the v-solve's
+# product of it with d2, dt and n^2/4 overflows even above that; at 2^-480
+# it is 2^960, which leaves 2^64 for the other factors
+_MIN_H0 = 2.0**-480
+
+
+def check_h0(h0: float) -> None:
+    """Raise ValueError when no run can start from the half-width h0."""
+    if not h0 >= _MIN_H0:
+        raise ValueError(f"init.h0 = {h0!r} is below the floor 2^-480 (3.2e-145) a run needs")
+
+
 def initial_state(init: InitialData, n: int) -> State:
+    check_h0(init.h0)
     x = reference_grid(n)[0] * init.h0
     w = np.asarray(init.u0(x), dtype=float)
     z = np.asarray(init.v0(x), dtype=float)

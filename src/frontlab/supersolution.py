@@ -29,7 +29,7 @@ from .eigen import lambda_p_interval
 from .errors import RegimeError
 from .kernels import Kernel
 from .model import InitialData, ModelParams
-from .solver import Trajectory
+from .solver import Trajectory, check_h0
 
 _PROBE_POINTS = 2001
 # largest overshoot of the barrier that check_domination still counts as dominated
@@ -182,8 +182,10 @@ def build_vanishing_supersolution(
     and u_ratio, the smallest multiple of its eigenfunction phi above u0,
     into the admissible budget and the constants.  h1 defaults to
     (h0 + ell*/2)/2, halfway between h0 and half the critical length.
+    An h0 no run can start from is rejected first, as the run would.
     """
     h0 = init.h0
+    check_h0(h0)
     if not (p.a < p.d1):
         raise RegimeError(f"super-solution needs a < d1; got a={p.a}, d1={p.d1}")
     if h1 is None:

@@ -300,10 +300,10 @@ def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
     assert calls == [(1, None)]  # one dt = auto attempt
 
 
-def _sweep_config(axes: str, horizon: float = 20.0):
-    """The _params() model on a tent kernel, plus the given sweep.* lines."""
+def _sweep_config(axes: str, horizon: float = 20.0, family: str = "tent"):
+    """The _params() model on a kernel of the given family, plus the given sweep.* lines."""
     return parse_config(
-        "kernel.family = tent\nmodel.kind = competition\nmodel.d1 = 1.0\nmodel.d2 = 1.0\n"
+        f"kernel.family = {family}\nmodel.kind = competition\nmodel.d1 = 1.0\nmodel.d2 = 1.0\n"
         "model.a = 0.5\nmodel.b = 0.5\nmodel.c = 0.5\nmodel.mu = 0.1\nmodel.rho = 0.1\n"
         "init.h0 = 0.25\ninit.amp_u = 1e-3\ninit.amp_v = 1e-3\n"
         f"numerics.horizon = {horizon}\nnumerics.n = 64\nnumerics.record_every = 10\n{axes}"
@@ -339,6 +339,11 @@ def test_sweep_deterministic_across_worker_counts():
     serial = phase_csv(sweep(cfg, workers=1))
     for workers in (2, 3, 5):
         assert phase_csv(sweep(cfg, workers=workers)) == serial  # byte-identical
+    # the Gaussian kernel, whose tail mass calls scipy.special.erf in the pool workers
+    cfg = _sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0, family="truncated_gaussian")
+    serial = phase_csv(sweep(cfg, workers=1))
+    for workers in (2, 3):
+        assert phase_csv(sweep(cfg, workers=workers)) == serial
 
 
 def test_sweep_starts_no_more_processes_than_batches(monkeypatch):
@@ -382,6 +387,13 @@ def test_sweep_failed_cell_rows_byte_identical_across_worker_counts():
     serial = sweep(cfg, workers=1)
     assert [row["verdict"] for row in serial.rows].count("Failed") == 2
     assert phase_csv(sweep(cfg, workers=2)) == phase_csv(serial)  # byte-identical
+
+
+def test_sweep_h0_below_the_run_floor_is_a_failed_row():
+    table = sweep(_sweep_config("sweep.h0 = 0.25, 1e-200\n", horizon=5.0))
+    good, bad = table.rows
+    assert good["verdict"] in (SPREADING, VANISHING, UNDECIDED)
+    assert (bad["h0"], bad["verdict"], bad["certificate"]) == (1e-200, "Failed", "ValueError")
 
 
 def test_sweep_rejects_unknown_axis():

@@ -466,11 +466,62 @@ def test_parser_built_once_serves_every_call_as_a_fresh_one(tmp_path, capsys):
         assert _outcome(argv, tmp_path / f"fresh{i}", capsys) == in_sequence[i]
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse would add to every command's start-up time and memory
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run in a fresh interpreter on this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, frontlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse, and the scipy.linalg and scipy.special packages with the
+    # array-API set-up they run, would add to every command's start-up time
+    # and memory; LAPACK comes from scipy's compiled wrapper alone
+    code = "import json, sys, frontlab.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    loaded = json.loads(_fresh_interpreter(code))
+    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.special", "scipy._lib._array_api"))]
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
+    # only the Gaussian kernel needs scipy.special, and it loads it when the
+    # kernel is made, so a sweep's forked pool workers inherit the module
+    code = (
+        "import sys\n"
+        "from frontlab.config import parse_config\n"
+        "from frontlab.kernels import make_kernel\n"
+        "make_kernel('tent'), make_kernel('parabolic_bump')\n"
+        "print('scipy.special' in sys.modules)\n"
+        f"parse_config({BASE.replace('tent', 'truncated_gaussian')!r})\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("frontlab_first", [True, False], ids=["frontlab-first", "scipy-first"])
+def test_lapack_routines_are_scipys_in_either_import_order(frontlab_first):
+    # the same compiled routines scipy.linalg hands out, so the same bits
+    imports = ["import frontlab.eigen as E, frontlab.solver as S", "import scipy.linalg.lapack as L"]
+    code = "\n".join(imports if frontlab_first else imports[::-1]) + (
+        "\nprint(S._gtsv is L.dgtsv, E._pbtrf is L.dpbtrf, E._pbtrs is L.dpbtrs)"
+    )
+    assert _fresh_interpreter(code).split() == ["True"] * 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "threshold", "supersolution-check"])
+@pytest.mark.parametrize("h0", ["1e-200", "1e-310"])
+def test_h0_below_the_run_floor_exits_config(tmp_path, capsys, command, h0):
+    # without the floor, 1/h0^2 overflows in the first step (exit 3), and
+    # the competition barrier divides by h0^2, which underflows to 0 (exit 1)
+    text = BASE.replace("init.h0 = 1.0", f"init.h0 = {h0}").replace("numerics.dt = 0.02", "numerics.dt = auto")
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"init.h0 = {float(h0)!r} is below the floor 2^-480 (3.2e-145) a run needs"
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_h0_at_the_run_floor_runs(tmp_path, command):
+    text = BASE.replace("init.h0 = 1.0", f"init.h0 = {2.0**-480!r}").replace("numerics.dt = 0.02", "numerics.dt = auto")
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
