@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
@@ -414,6 +413,10 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     if batches == 1:
         rows = _sweep_batch(cells)
     else:
+        # imported here: concurrent.futures loads multiprocessing and
+        # logging, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         rows = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=batches) as pool:
             for i, part in enumerate(pool.map(_sweep_batch, [cells[j::batches] for j in range(batches)])):

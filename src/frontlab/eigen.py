@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack
+from . import _scipy
 from .errors import ConvergenceError, RegimeError
 from .kernels import Kernel, nonlocal_apply, offset_samples, support_offsets, trapezoid_weights
 
@@ -70,7 +70,7 @@ _ELL_MAX_RADII = 50.0
 
 # the LAPACK routines behind scipy's cholesky_banded and cho_solve_banded,
 # called directly: the wrappers copy and re-validate the band on every call
-_pbtrf, _pbtrs = _lapack.dpbtrf, _lapack.dpbtrs
+_pbtrf, _pbtrs = _scipy.dpbtrf, _scipy.dpbtrs
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _scipy
+
 KNOWN_FAMILIES = ("tent", "parabolic_bump", "truncated_gaussian")
 
 # truncated_gaussian uses sigma = R/3, so the raw Gaussian value at the
@@ -56,32 +58,37 @@ class Kernel:
             return (r - s) ** 2 / (2.0 * r * r)
         if self.family == "parabolic_bump":
             return 0.5 - 0.75 * s / r + 0.25 * (s / r) ** 3
-        from scipy.special import erf
-
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)
         gauss_part = math.sqrt(math.pi / 2.0) * sig * (
-            erf(r / (math.sqrt(2.0) * sig)) - erf(s / (math.sqrt(2.0) * sig))
+            self._erf_edge - _scipy.erf(s / (math.sqrt(2.0) * sig))
         )
         return self._gauss_norm * (gauss_part - (r - s) * edge)
 
     def __post_init__(self):
-        # scipy.special is imported here, when a truncated_gaussian kernel is
-        # made, and by no other family: a sweep's pool workers, forked after
-        # the kernel exists, inherit the module instead of importing it
+        # erf, and with it scipy.special._ufuncs, loads here, when a
+        # truncated_gaussian kernel is made, and for no other family: a
+        # sweep's pool workers, forked after the kernel exists, inherit it
         if self.family == "truncated_gaussian":
             self._gauss_norm
 
+    # truncated_gaussian's constants; each cache lives in the instance
+    # __dict__, outside the fields that eq and hash read
+
+    @cached_property
+    def _erf_edge(self) -> float:
+        # erf at the support edge, r/(sqrt(2)*sigma)
+        r = self.radius
+        sig = r / 3.0
+        return _scipy.erf(r / (math.sqrt(2.0) * sig))
+
     @cached_property
     def _gauss_norm(self) -> float:
-        # truncated_gaussian's 1/mass; the cache lives in the instance
-        # __dict__, outside the fields that eq and hash read
-        from scipy.special import erf
-
+        # 1/mass
         r = self.radius
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)
-        mass = math.sqrt(2.0 * math.pi) * sig * erf(r / (math.sqrt(2.0) * sig)) - 2.0 * r * edge
+        mass = math.sqrt(2.0 * math.pi) * sig * self._erf_edge - 2.0 * r * edge
         return 1.0 / mass
 
 

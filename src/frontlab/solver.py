@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import _lapack
+from . import _scipy
 from .errors import SolverFailure
 from .kernels import Kernel, apply_taps, kernel_taps, support_offsets, trapezoid_weights
 from .model import Bounds, InitialData, ModelParams, field_bounds, reaction
@@ -60,7 +60,7 @@ _BOUND_SLACK = 1e-8
 _CFL = 0.4
 
 # LAPACK's tridiagonal solver, bound once for every v-solve
-_gtsv = _lapack.dgtsv
+_gtsv = _scipy.dgtsv
 
 # per-sample trajectory columns, in the order they are recorded and written
 TRAJECTORY_COLUMNS = ("t", "g", "h", "gdot", "hdot", "sup_u", "sup_v", "u_center", "v_center")
@@ -178,7 +178,7 @@ def _dt_cap(safety: float, dy: float, zeta: float, rate_cap: float) -> float:
 
 def solve_banded(alpha: float, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with constant diagonals (-alpha,
-    1 + 2*alpha, -alpha) for b by LAPACK dgtsv from _lapack: the call
+    1 + 2*alpha, -alpha) for b by LAPACK dgtsv from _scipy: the call
     scipy.linalg.solve_banded makes on that band, so the same bits, without
     the wrapper's per-call validation, which costs several times the solve
     at the step's sizes.

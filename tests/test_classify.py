@@ -4,6 +4,7 @@ Certificate logic is exercised on hand-crafted trajectories so each
 branch is hit exactly, then on real runs for end-to-end agreement.
 """
 
+import concurrent.futures
 import importlib
 import math
 from types import SimpleNamespace
@@ -348,13 +349,13 @@ def test_sweep_deterministic_across_worker_counts():
 
 def test_sweep_starts_no_more_processes_than_batches(monkeypatch):
     started = []
-    real = classify_module.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def recording(max_workers=None, **kwargs):
         started.append(max_workers)
         return real(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(classify_module, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     cfg = _sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0)
     pooled = sweep(cfg, workers=8)
     assert started == [2]  # two cells, two batches

@@ -478,33 +478,67 @@ def _fresh_interpreter(code: str) -> str:
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse, and the scipy.linalg and scipy.special packages with the
     # array-API set-up they run, would add to every command's start-up time
-    # and memory; LAPACK comes from scipy's compiled wrapper alone
-    code = "import json, sys, frontlab.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    # and memory; LAPACK comes from scipy's compiled wrapper alone, and the
+    # process pool's modules load only when a sweep starts a pool
+    code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
     assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.special", "scipy._lib._array_api"))]
     assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
-    # only the Gaussian kernel needs scipy.special, and it loads it when the
-    # kernel is made, so a sweep's forked pool workers inherit the module
+    assert not [m for m in loaded if m.startswith(("concurrent.futures", "multiprocessing"))]
+    # only the Gaussian kernel needs erf, and it loads scipy.special._ufuncs,
+    # not the package, when the kernel is made, so a sweep's forked pool
+    # workers inherit the module
     code = (
         "import sys\n"
         "from frontlab.config import parse_config\n"
         "from frontlab.kernels import make_kernel\n"
         "make_kernel('tent'), make_kernel('parabolic_bump')\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print('scipy.special._ufuncs' in sys.modules)\n"
         f"parse_config({BASE.replace('tent', 'truncated_gaussian')!r})\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print('scipy.special._ufuncs' in sys.modules)\n"
+        "print('scipy.special' in sys.modules, 'scipy._lib._array_api' in sys.modules)\n"
     )
-    assert _fresh_interpreter(code).split() == ["False", "True"]
+    assert _fresh_interpreter(code).split() == ["False", "True", "False", "False"]
 
 
 @pytest.mark.parametrize("frontlab_first", [True, False], ids=["frontlab-first", "scipy-first"])
 def test_lapack_routines_are_scipys_in_either_import_order(frontlab_first):
-    # the same compiled routines scipy.linalg hands out, so the same bits
-    imports = ["import frontlab.eigen as E, frontlab.solver as S", "import scipy.linalg.lapack as L"]
+    # the same compiled routines scipy.linalg and scipy.special hand out, so
+    # the same bits; frontlab's erf is read through the module kernels calls
+    imports = [
+        "import frontlab.eigen as E, frontlab.solver as S, frontlab.kernels as K\n"
+        "K.make_kernel('truncated_gaussian')",
+        "import scipy.linalg.lapack as L, scipy.special",
+    ]
     code = "\n".join(imports if frontlab_first else imports[::-1]) + (
-        "\nprint(S._gtsv is L.dgtsv, E._pbtrf is L.dpbtrf, E._pbtrs is L.dpbtrs)"
+        "\nprint(S._gtsv is L.dgtsv, E._pbtrf is L.dpbtrf, E._pbtrs is L.dpbtrs,"
+        " K._scipy.erf is scipy.special.erf)"
     )
-    assert _fresh_interpreter(code).split() == ["True"] * 3
+    assert _fresh_interpreter(code).split() == ["True"] * 4
+
+
+def test_scipy_packages_import_after_frontlab_loaded_erf():
+    code = (
+        "import math\n"
+        "from frontlab.kernels import make_kernel\n"
+        "make_kernel('truncated_gaussian')\n"
+        "import scipy.special, scipy.stats\n"
+        "print(scipy.special.gamma(5.0) == 24.0, math.isfinite(scipy.stats.norm.cdf(1.0)))\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "True"]
+
+
+def test_scipy_loader_failure_leaves_no_module_behind():
+    code = (
+        "import sys\n"
+        "from frontlab import _scipy\n"
+        "try:\n"
+        "    _scipy._load('scipy.special._no_such_module')\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "print('scipy.special' in sys.modules, 'scipy.special._no_such_module' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["ModuleNotFoundError", "False", "False"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "classify", "threshold", "supersolution-check"])
