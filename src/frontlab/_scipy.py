@@ -1,15 +1,17 @@
 """The compiled scipy routines frontlab calls, loaded without scipy's packages.
 
-This module is the one place that decides how scipy is reached.  It loads
-two of scipy's extension modules by themselves, without running the
-``__init__.py`` of the package that holds them:
+This module is the one place that decides how scipy is reached.  It finds
+scipy's directory with ``importlib.util.find_spec("scipy")``, which runs no
+``__init__.py``, and loads two of scipy's extension modules from it by
+themselves, without running the ``__init__.py`` of scipy or of the
+subpackage that holds them:
 
 - ``scipy.linalg._flapack``, the f2py LAPACK wrapper, for the three
   routines the solver and the eigensolver call: ``dgtsv``, ``dpbtrf`` and
   ``dpbtrs``.  It loads with this module.
-- ``scipy.special._ufuncs``, for ``erf``, which only the
-  truncated_gaussian kernel calls.  It loads on the first read of
-  ``erf``, when such a kernel is made.
+- ``scipy.special._special_ufuncs``, the extension that defines ``erf``,
+  which only the truncated_gaussian kernel calls.  It loads on the first
+  read of ``erf``, when such a kernel is made.
 
 The routines are the very objects ``scipy.linalg.get_lapack_funcs`` and
 ``scipy.special.erf`` are, so every result keeps its bits.
@@ -21,24 +23,30 @@ import runs scipy's array-API set-up (``scipy._lib._array_api``), whose
 numpy 2.4 and scipy 1.17:
 
 - ``import scipy.linalg`` took 0.23-0.29 s and ``import frontlab.cli``
-  0.33-0.48 s, while ``import scipy`` and ``_flapack`` take 13-19 ms
-  together.
-- ``python -X importtime -c "import frontlab.cli; from frontlab.kernels
-  import make_kernel; make_kernel('truncated_gaussian')"``, medians of 10
-  fresh interpreters: with ``erf`` from the ``scipy.special`` package,
-  that package was 187 ms cumulative, 137 ms of it in
-  ``scipy._lib._array_api`` (``numpy.f2py`` 60 ms, ``numpy.testing``
-  19 ms); loaded here, ``_ufuncs``'s four siblings take 2.4 ms together.
-  The ``make_kernel`` call itself (``time.perf_counter``) takes 3.8 ms
-  against 199 ms.
+  0.33-0.48 s.
+- With ``erf`` from the ``scipy.special`` package, that package was
+  187 ms cumulative under ``python -X importtime``, 137 ms of it in
+  ``scipy._lib._array_api`` (medians of 10 fresh interpreters).
+- ``import scipy`` itself, which ``_flapack`` and ``_special_ufuncs`` do
+  not need, takes about 14 ms and 0.9 MiB of RSS.  Reading ``erf`` from
+  ``scipy.special._ufuncs``, which re-exports it and loads four sibling
+  extensions, took 4.2 ms and 2.4 MiB, against 1.3 ms and 1.1 MiB from
+  ``_special_ufuncs`` alone (medians of 15 fresh interpreters).  Without
+  both, ``import frontlab.cli`` went from 0.18 to 0.15 s and a Gaussian
+  kernel's process from 35.6 to 33.0 MiB of peak RSS (medians of 20
+  alternating fresh-interpreter pairs).
 
 Each module is registered in ``sys.modules`` under its own name, so a
 later package import shares it, and one that an earlier package import
-loaded is reused.  ``_ufuncs`` is a Cython module that imports its sibling
-extensions (``_ufuncs_cxx``, ``_special_ufuncs``, ``_gufuncs``,
-``_ellip_harm_2``) relative to its package; while it loads, and only when
-the real ``scipy.special`` is not imported yet, a bare package module whose
-``__path__`` is scipy's ``special`` directory stands in for it.
+loaded is reused.  While one loads, and only when its package is not
+imported yet, a bare package module whose ``__path__`` is the package's
+directory stands in for it.
+
+A scipy without ``_special_ufuncs``, or whose ``_special_ufuncs`` has no
+``erf`` (the project allows scipy >= 1.10), gets ``erf`` from
+``scipy.special._ufuncs`` after ``import scipy``.  ``_ufuncs`` is a Cython
+module that imports its sibling extensions relative to the stand-in
+package.
 """
 
 from __future__ import annotations
@@ -49,7 +57,10 @@ import os
 import sys
 import types
 
-import scipy
+_spec = importlib.util.find_spec("scipy")
+if _spec is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_root = _spec.submodule_search_locations[0]
 
 
 def _load(name: str) -> types.ModuleType:
@@ -61,7 +72,7 @@ def _load(name: str) -> types.ModuleType:
     if module is not None:
         return module
     package = name.rpartition(".")[0]
-    path = os.path.join(scipy.__path__[0], package.rpartition(".")[2])
+    path = os.path.join(_root, package.rpartition(".")[2])
     stand_in = package not in sys.modules
     if stand_in:
         sys.modules[package] = types.ModuleType(package)
@@ -92,6 +103,13 @@ def __getattr__(name: str):
     # erf is bound on its first read, so later reads skip this hook
     if name == "erf":
         global erf
-        erf = _load("scipy.special._ufuncs").erf
+        try:
+            erf = _load("scipy.special._special_ufuncs").erf
+        except (ModuleNotFoundError, AttributeError):
+            # a scipy whose erf lives in _ufuncs: load that after scipy's own
+            # __init__, as the scipy.special package would
+            import scipy  # noqa: F401
+
+            erf = _load("scipy.special._ufuncs").erf
         return erf
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

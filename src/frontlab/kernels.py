@@ -66,8 +66,8 @@ class Kernel:
         return self._gauss_norm * (gauss_part - (r - s) * edge)
 
     def __post_init__(self):
-        # erf, and with it scipy.special._ufuncs, loads here, when a
-        # truncated_gaussian kernel is made, and for no other family: a
+        # erf, and with it scipy.special._special_ufuncs, loads here, when
+        # a truncated_gaussian kernel is made, and for no other family: a
         # sweep's pool workers, forked after the kernel exists, inherit it
         if self.family == "truncated_gaussian":
             self._gauss_norm

@@ -222,13 +222,18 @@ def boundary_velocities(b: _Batch) -> None:
     flux = wq_ref * half * b.k.tail_mass(dist) * np.concatenate((w[:, ::-1][:, :width], w[:, :width]), axis=1)
     z_right, z_left = z[:, :-4:-1].tolist(), z[:, :3].tolist()
     two_dy = 2.0 * b.dy
-    for row, m, terms, (zn, zn1, zn2), (z0, z1, z2) in zip(rows, ms, flux.tolist(), z_right, z_left):
+    # flux is a fresh C-contiguous (B, 2*width) array, so its doubles lie row
+    # after row in one flat buffer, and row r's terms start at 2*width*r
+    terms = memoryview(flux).cast("B").cast("d")
+    starts = range(0, len(terms), 2 * width)
+    for row, m, start, (zn, zn1, zn2), (z0, z1, z2) in zip(rows, ms, starts, z_right, z_left):
         scale = 2.0 / (row.h - row.g)
         # Dirichlet values z0 = zn = 0 are used explicitly
         vx_left = (-3.0 * z0 + 4.0 * z1 - z2) / two_dy * scale
         vx_right = (3.0 * zn - 4.0 * zn1 + zn2) / two_dy * scale
-        # fsum of a list: the same doubles, so the same sum, at half the cost
-        flux_right, flux_left = math.fsum(terms[:m]), math.fsum(terms[width : width + m])
+        # fsum of buffer slices reads each double as a float, so the sums
+        # are those of the flux terms, with no list of floats built
+        flux_right, flux_left = math.fsum(terms[start : start + m]), math.fsum(terms[start + width : start + width + m])
         p = row.p
         row.gdot, row.hdot = -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
 

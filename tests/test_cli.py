@@ -476,29 +476,31 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse, and the scipy.linalg and scipy.special packages with the
-    # array-API set-up they run, would add to every command's start-up time
-    # and memory; LAPACK comes from scipy's compiled wrapper alone, and the
-    # process pool's modules load only when a sweep starts a pool
+    # scipy.sparse, and scipy's packages with the array-API set-up they
+    # run, would add to every command's start-up time and memory; LAPACK
+    # comes from scipy's compiled wrapper alone, found without importing
+    # scipy, and the process pool's modules load only when a sweep starts
+    # a pool
     code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
-    assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.special", "scipy._lib._array_api"))]
-    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
     assert not [m for m in loaded if m.startswith(("concurrent.futures", "multiprocessing"))]
-    # only the Gaussian kernel needs erf, and it loads scipy.special._ufuncs,
-    # not the package, when the kernel is made, so a sweep's forked pool
-    # workers inherit the module
+    # only the Gaussian kernel needs erf, and it adds the one extension that
+    # defines it when the kernel is made, so a sweep's forked pool workers
+    # inherit the module
     code = (
         "import sys\n"
         "from frontlab.config import parse_config\n"
         "from frontlab.kernels import make_kernel\n"
+        "def scipy_modules():\n"
+        "    return {m for m in sys.modules if m.partition('.')[0] == 'scipy'}\n"
+        "before = scipy_modules()\n"
         "make_kernel('tent'), make_kernel('parabolic_bump')\n"
-        "print('scipy.special._ufuncs' in sys.modules)\n"
+        "print(sorted(scipy_modules() - before))\n"
         f"parse_config({BASE.replace('tent', 'truncated_gaussian')!r})\n"
-        "print('scipy.special._ufuncs' in sys.modules)\n"
-        "print('scipy.special' in sys.modules, 'scipy._lib._array_api' in sys.modules)\n"
+        "print(sorted(scipy_modules() - before))\n"
     )
-    assert _fresh_interpreter(code).split() == ["False", "True", "False", "False"]
+    assert _fresh_interpreter(code).splitlines() == ["[]", "['scipy.special._special_ufuncs']"]
 
 
 @pytest.mark.parametrize("frontlab_first", [True, False], ids=["frontlab-first", "scipy-first"])
@@ -539,6 +541,44 @@ def test_scipy_loader_failure_leaves_no_module_behind():
         "print('scipy.special' in sys.modules, 'scipy.special._no_such_module' in sys.modules)\n"
     )
     assert _fresh_interpreter(code).split() == ["ModuleNotFoundError", "False", "False"]
+
+
+@pytest.mark.parametrize(
+    "missing",
+    ["raise ModuleNotFoundError(name=name)", "return types.ModuleType(name)"],
+    ids=["no-module", "no-erf"],
+)
+def test_erf_falls_back_to_ufuncs_without_special_ufuncs_erf(missing):
+    # a scipy whose _special_ufuncs is missing, or defines no erf, gets erf
+    # from scipy.special._ufuncs: still the object scipy.special hands out
+    code = (
+        "import sys, types\n"
+        "from frontlab import _scipy\n"
+        "load = _scipy._load\n"
+        "def failing_load(name):\n"
+        "    if name == 'scipy.special._special_ufuncs':\n"
+        f"        {missing}\n"
+        "    return load(name)\n"
+        "_scipy._load = failing_load\n"
+        "erf = _scipy.erf\n"
+        "print('scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "import scipy.special\n"
+        "print(erf is scipy.special.erf)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "False", "True"]
+
+
+def test_missing_scipy_raises_module_not_found_for_scipy():
+    code = (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+        "try:\n"
+        "    import frontlab._scipy\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["scipy"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "classify", "threshold", "supersolution-check"])

@@ -746,3 +746,18 @@ def test_non_finite_after_state_is_reported_as_non_finite(monkeypatch):
         (wmax, zmax), = after.max(axis=2).tolist()
         with pytest.raises(SolverFailure, match="non-finite field values"):
             row.check_invariants(0.01, s.g, s.h, wmax, zmax)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverFailure,
+    reason="ROADMAP item 2: interior row sums of the point-sampled tent taps exceed 1 by up "
+    "to 3.6e-4, so max u passes k1 by about 2e-5 at t = 202.9",
+)
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_long_spreading_run_stays_inside_the_u_bound(kind):
+    # a valid run must not end in exit 3: both kinds reach the horizon
+    p = ModelParams(kind=kind, d1=1.0, d2=1.0, a=0.5, b=0.5, c=0.5, mu=5.0, rho=5.0)
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    traj = run(p, init, TENT, RunControl(horizon=210.0, n=120))
+    assert traj.termination == "horizon" and traj.t[-1] == 210.0
