@@ -46,7 +46,8 @@ class Kernel:
         return self._gauss_norm * np.maximum(raw, 0.0)
 
     def tail_mass(self, s):
-        """Closed-form integral of J over [s, infinity), any real s (vectorized)."""
+        """Closed-form integral of J over [s, infinity), any real s
+        (vectorized); exactly 0.0 for s >= radius."""
         s = np.asarray(s, dtype=float)
         core = self._half_tail(np.minimum(np.abs(s), self.radius))
         return np.where(s >= 0.0, core, 1.0 - core)
@@ -57,7 +58,8 @@ class Kernel:
         if self.family == "tent":
             return (r - s) ** 2 / (2.0 * r * r)
         if self.family == "parabolic_bump":
-            return 0.5 - 0.75 * s / r + 0.25 * (s / r) ** 3
+            # s/r first: at s = r it is 1 exactly, so the mass is 0 exactly
+            return 0.5 - 0.75 * (s / r) + 0.25 * (s / r) ** 3
         sig = r / 3.0
         edge = math.exp(-_EDGE_EXPONENT)
         gauss_part = math.sqrt(math.pi / 2.0) * sig * (

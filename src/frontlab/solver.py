@@ -28,13 +28,14 @@ its step on Python floats (_Row.plan: its dt, fronts, stability check
 and v-solve coefficient); a failed plan ends that run before the array
 work.  The batch then steps the planned rows (_Batch.step) with one numpy
 call per elementwise stage (transform coefficients, reaction, kernel
-taps, upwind assembly, tail masses, the min/max checks); one convolution
-with the row's own taps, one tridiagonal solve, one fsum per front, the
+taps, upwind assembly, tail masses, front fluxes, the min/max checks);
+one convolution with the row's own taps, one tridiagonal solve, the
 invariant checks, recording and the stop rule stay per row.  A row
 leaves the batch when it stops or fails.  Every row is bit-identical to
 its run stepped alone: an IEEE operation rounds each element by itself
-whatever the array's shape, and the convolution, the gtsv solve and the
-fsum see exactly the row's own operands.
+whatever the array's shape, the convolution and the gtsv solve see
+exactly the row's own operands, and the front fluxes are left-to-right
+sums whose terms past the row's own kernel support are exact zeros.
 """
 
 from __future__ import annotations
@@ -141,13 +142,12 @@ class RunControl:
 
 
 @lru_cache(maxsize=None)
-def _front_nodes(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """y/2 and the reference trapezoid weights at the width nodes nearest
-    h, ordered inward from node n, then at the width nodes nearest g,
-    ordered inward from node 0."""
-    idx = np.concatenate((np.arange(n, n - width, -1), np.arange(width)))
-    y, wq_ref = reference_grid(n)
-    return y[idx] * 0.5, wq_ref[idx]
+def _front_index(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The width node indices inward from each front, from node n for h and
+    from node 0 for g, as a (2, width) array, and the offsets j = 0..width-1
+    of those nodes from their front, in node spacings."""
+    idx = np.stack((np.arange(n, n - width, -1), np.arange(width)))
+    return idx, np.arange(width, dtype=float)
 
 
 def _columns(per_row: list[tuple]) -> tuple:
@@ -201,39 +201,32 @@ def boundary_velocities(b: _Batch) -> None:
     h' = -mu*v_x(h) + rho*int tail(h-x)*u dx, and the mirrored expression
     at g, with v_x the one-sided second-order difference at each front.
     The inner dispersal integral is collapsed into the kernel's closed-form
-    tail mass; the outer integral is trapezoid over the m nodes within a
-    radius (plus one) of the front, as tail(s) is exactly 0 for
-    s >= radius.  Positions, weights, tail masses and flux terms come from
-    one call each on the 2M front nodes of every row only, M the largest
-    m.  Each front's m terms are summed with one fsum: exactly rounded, so
-    the layout cannot change the sum, and mirror-symmetric states give
-    gdot = -hdot exactly."""
-    n, radius, rows = b.n, b.k.radius, b.rows
-    mid, length, half, h, g = b.geo
-    ms = [int(min(n + 1.0, radius * n / (row.h - row.g) + 2.0)) for row in rows]
-    width = max(max(ms), 3)  # at least the three nodes of each one-sided v_x
-    yh, wq_ref = _front_nodes(n, width)
-    # distances to the front: h - x for the nodes nearest h, x - g for those nearest g
-    x = mid + yh * length
-    dist = np.empty(x.shape)
-    np.subtract(h, x[..., :width], out=dist[..., :width])
-    np.subtract(x[..., width:], g, out=dist[..., width:])
-    w, z = b.wz[:, 0], b.wz[:, 1]
-    flux = wq_ref * half * b.k.tail_mass(dist) * np.concatenate((w[:, ::-1][:, :width], w[:, :width]), axis=1)
+    tail mass; the outer integral is trapezoid over the nodes inward from
+    the front, the j-th at distance j*(h-g)/n, the offsets of the nonlocal
+    taps.  One tail_mass call gives each row's table at the offsets below
+    M, the largest m = min(n+1, floor(radius*n/(h-g)) + 2) of the batch,
+    and both fronts of the row share it.  The flux terms of every front
+    are summed by one left-to-right accumulation from the front inward.
+    tail(s) is exactly 0 for s >= radius, so a row's terms past its own m
+    are exact zeros that leave its sum as it is: each row gets the bits it
+    gets stepped alone, whatever M.  Both fronts sum the same sequence, so
+    mirror-symmetric states give gdot = -hdot exactly."""
+    n, k, rows = b.n, b.k, b.rows
+    half, spacing = b.geo
+    width = max(int(min(n + 1.0, k.radius * n / (row.h - row.g) + 2.0)) for row in rows)
+    idx, offsets = _front_index(n, width)
+    # the weights are symmetric, so the first width serve both fronts
+    table = b.wq_ref[:width] * half * k.tail_mass(offsets * spacing)
+    terms = table[..., None, :] * b.wz[:, 0].take(idx, axis=-1)
+    fluxes = np.add.accumulate(terms, axis=-1)[..., -1].tolist()
+    z = b.wz[:, 1]
     z_right, z_left = z[:, :-4:-1].tolist(), z[:, :3].tolist()
     two_dy = 2.0 * b.dy
-    # flux is a fresh C-contiguous (B, 2*width) array, so its doubles lie row
-    # after row in one flat buffer, and row r's terms start at 2*width*r
-    terms = memoryview(flux).cast("B").cast("d")
-    starts = range(0, len(terms), 2 * width)
-    for row, m, start, (zn, zn1, zn2), (z0, z1, z2) in zip(rows, ms, starts, z_right, z_left):
+    for row, (flux_right, flux_left), (zn, zn1, zn2), (z0, z1, z2) in zip(rows, fluxes, z_right, z_left):
         scale = 2.0 / (row.h - row.g)
         # Dirichlet values z0 = zn = 0 are used explicitly
         vx_left = (-3.0 * z0 + 4.0 * z1 - z2) / two_dy * scale
         vx_right = (3.0 * zn - 4.0 * zn1 + zn2) / two_dy * scale
-        # fsum of buffer slices reads each double as a float, so the sums
-        # are those of the flux terms, with no list of floats built
-        flux_right, flux_left = math.fsum(terms[start : start + m]), math.fsum(terms[start + width : start + width + m])
         p = row.p
         row.gdot, row.hdot = -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
 
@@ -243,7 +236,7 @@ class _Row:
     initial data set, its scalar state, its planned step and its record.
     Its field samples are a row of the batch's arrays."""
 
-    __slots__ = ("p", "stop_rule", "index", "bounds", "rate_cap", "t", "g", "h", "gdot", "hdot",
+    __slots__ = ("p", "stop_rule", "index", "bounds", "rate_cap", "t", "g", "h", "gdot", "hdot", "sups",
                  "end", "last", "prev", "rec", "snapshots")
 
     def __init__(self, p: ModelParams, s0: State, stop_rule: Optional[Callable] = None, index: int = 0):
@@ -251,6 +244,7 @@ class _Row:
         self.bounds, self.rate_cap = _data_bounds(p, s0)
         self.t, self.g, self.h = s0.t, s0.g, s0.h
         self.gdot = self.hdot = 0.0
+        self.sups = (float(s0.w.max()), float(s0.z.max()))  # the fields' maxima, for the record
         self.end, self.last, self.prev = None, False, None
         self.rec = _Recorder()
         self.snapshots: list[Snapshot] = []
@@ -282,7 +276,7 @@ class _Row:
         self.end = (self.t + dt, g1, h1)
         spacing = length / n
         # the advanced habitat, the batch's next geo, then this step's own columns
-        cols = (0.5 * (g1 + h1), length, 0.5 * length, h1, g1, dt, mean, spread, scale, spacing)
+        cols = (0.5 * length, spacing, dt, mean, spread, scale)
         return cols, support_offsets(b.k, spacing, n + 1), dt * self.p.d2 * (scale * scale) / (dy * dy)
 
     def check_invariants(self, t: float, g: float, h: float, wmax: float, zmax: float) -> None:
@@ -307,7 +301,7 @@ class _Row:
 class _Batch:
     """Rows sharing n and the kernel, stepped together.  wz[i] holds row
     i's (w, z) samples.  geo holds the rows' habitats as _columns():
-    centre, length, half the length, h and g; d1 is a _column() too.
+    half the length and the node spacing (h-g)/n; d1 is a _column() too.
     rates and couplings are (B, 2, 1), so the batch serves as reaction()'s
     params."""
 
@@ -321,7 +315,7 @@ class _Batch:
 
     def _set(self, rows: list[_Row], wz: np.ndarray) -> None:
         self.rows, self.wz = rows, wz
-        self.geo = _columns([(0.5 * (r.g + r.h), r.h - r.g, 0.5 * (r.h - r.g), r.h, r.g) for r in rows])
+        self.geo = _columns([(0.5 * (r.h - r.g), (r.h - r.g) / self.n) for r in rows])
         (self.d1,) = _columns([(r.p.d1,) for r in rows])
         self.rates = np.array([r.p.rates for r in rows])
         self.couplings = np.array([r.p.couplings for r in rows])
@@ -343,7 +337,7 @@ class _Batch:
         k, n, dy, rows = self.k, self.n, self.dy, self.rows
         cols, ms, alphas = zip(*plans)
         cols = _columns(cols)
-        half, (dt, mean, spread, scale, spacing) = cols[2], cols[5:]
+        half, spacing, dt, mean, spread, scale = cols
         zeta = scale * (mean + self.yh * spread)
         w = self.wz[:, 0]
         # nonlocal operator on the mapped physical nodes, (h-g)/n apart: each
@@ -396,7 +390,8 @@ class _Batch:
                     errors[i] = exc
                 else:
                     row.t, row.g, row.h = row.end
-        self.wz, self.geo = out, cols[:5]
+                    row.sups = (wmax, zmax)
+        self.wz, self.geo = out, cols[:2]
         if not errors:
             return []
         self.keep([i for i in range(len(rows)) if i not in errors])
@@ -471,7 +466,8 @@ class _Recorder:
         for name in TRAJECTORY_COLUMNS:
             setattr(self, name, [])
 
-    def add(self, s: State, gdot: float, hdot: float) -> None:
+    def add(self, s: State, gdot: float, hdot: float, sups: tuple[float, float]) -> None:
+        """Record s with its front speeds and its fields' maxima sups = (sup_u, sup_v)."""
         # physical center x=0 pulled back to the reference frame
         y0 = -(s.g + s.h) / (s.h - s.g)
         if -1.0 <= y0 <= 1.0:
@@ -479,7 +475,7 @@ class _Recorder:
             centers = (float(np.interp(y0, y, s.w)), float(np.interp(y0, y, s.z)))
         else:
             centers = (0.0, 0.0)
-        row = (s.t, s.g, s.h, gdot, hdot, float(s.w.max()), float(s.z.max())) + centers
+        row = (s.t, s.g, s.h, gdot, hdot) + sups + centers
         for name, value in zip(TRAJECTORY_COLUMNS, row):
             getattr(self, name).append(value)
 
@@ -530,7 +526,7 @@ def run_batch(jobs: list, k: Kernel, ctrl: RunControl) -> list:
             if recorded or snapped:
                 s = batch.state(i)
                 if recorded:
-                    row.rec.add(s, row.gdot, row.hdot)
+                    row.rec.add(s, row.gdot, row.hdot, row.sups)
                 if snapped:
                     row.snapshots.append(_snapshot(s))
             termination = "horizon" if last else None

@@ -61,6 +61,18 @@ def test_tail_mass_anchors(family):
     assert float(k.tail_mass(np.float64(1.3))) == 0.0
 
 
+@pytest.mark.parametrize("family", KNOWN_FAMILIES)
+def test_kernel_and_tail_mass_are_exactly_zero_past_the_radius(family):
+    # the solver's front sums add terms past a row's own support as exact
+    # zeros, so J and its tail mass must be 0.0, not a rounding residue, at
+    # the radius, one ulp past it and everywhere beyond
+    for radius in np.linspace(0.3, 7.0, 68):
+        k = make_kernel(family, float(radius))
+        s = np.concatenate(([radius, np.nextafter(radius, np.inf)], np.linspace(radius, 5.0 * radius, 401)))
+        assert not k(s).any() and not k.tail_mass(s).any(), radius
+        assert float(k.tail_mass(float(radius))) == 0.0 and float(k(float(radius))) == 0.0, radius
+
+
 @pytest.mark.parametrize("radius", RADII)
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_tail_mass_matches_quadrature(family, radius):

@@ -6,7 +6,9 @@ tail), so the solver's trapezoid flux is checked against an independent
 route at its own discretization error scale.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -471,21 +473,49 @@ def transform_coefficients(g: float, h: float, gdot: float, hdot: float, n: int)
     return scale * scale, scale * x_t
 
 
-def _oracle_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
-    """The front law evaluated one front at a time on one state: one
-    tail_mass call and one fsum per front, x and the weights over every
-    node, the v-slopes in numpy scalars."""
+def _slopes(s: State) -> tuple[float, float]:
+    """The one-sided second-order v_x at g and at h, in numpy scalars."""
     n = len(s.w) - 1
-    y, wq_ref = reference_grid(n)
-    length = s.h - s.g
-    dy, scale = 2.0 / n, 2.0 / length
+    dy, scale = 2.0 / n, 2.0 / (s.h - s.g)
     vx_left = (-3.0 * s.z[0] + 4.0 * s.z[1] - s.z[2]) / (2.0 * dy) * scale
     vx_right = (3.0 * s.z[-1] - 4.0 * s.z[-2] + s.z[-3]) / (2.0 * dy) * scale
-    m = int(min(n + 1.0, k.radius * n / length + 2.0))
+    return vx_left, vx_right
+
+
+def _front_m(s: State, k: Kernel) -> int:
+    """The number of nodes nearest each front that the flux sums take."""
+    n = len(s.w) - 1
+    return int(min(n + 1.0, k.radius * n / (s.h - s.g) + 2.0))
+
+
+def _oracle_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
+    """The front law evaluated one front at a time on one state, in the
+    solver's arithmetic: the m nodes nearest the front at distances
+    j*(h-g)/n, j = 0..m-1, and their flux terms added one at a time from
+    the front inward."""
+    n, m, length = len(s.w) - 1, _front_m(s, k), s.h - s.g
+    wq = reference_grid(n)[1][:m] * (0.5 * length)
+
+    def flux(u):  # u ordered from the front inward
+        terms = wq * k.tail_mass(np.arange(m) * (length / n)) * u[:m]
+        return functools.reduce(operator.add, terms.tolist())
+
+    vx_left, vx_right = _slopes(s)
+    return -p.mu * vx_left - p.rho * flux(s.w), -p.mu * vx_right + p.rho * flux(s.w[::-1])
+
+
+def _fsum_velocities(s: State, p: ModelParams, k: Kernel) -> tuple[float, float]:
+    """The front law from the node positions: distances h - x and x - g
+    over the m nodes nearest each front, one tail_mass call and one
+    exactly rounded fsum per front."""
+    n, m = len(s.w) - 1, _front_m(s, k)
+    y, wq_ref = reference_grid(n)
+    length = s.h - s.g
     x = 0.5 * (s.g + s.h) + y * 0.5 * length
     wq = wq_ref * (0.5 * length)
     flux_right = math.fsum(wq[-m:] * k.tail_mass(s.h - x[-m:]) * s.w[-m:])
     flux_left = math.fsum(wq[:m] * k.tail_mass(x[:m] - s.g) * s.w[:m])
+    vx_left, vx_right = _slopes(s)
     return -p.mu * vx_left - p.rho * flux_left, -p.mu * vx_right + p.rho * flux_right
 
 
@@ -565,7 +595,7 @@ def _oracle_run(p, init, k, ctrl, stop_rule=None):
         snapshots.append(solver.Snapshot(t=s.t, g=s.g, h=s.h, x=x, u=s.w.copy(), v=s.z.copy()))
 
     gdot, hdot = _oracle_velocities(state, p, k)
-    rec.add(state, gdot, hdot)
+    rec.add(state, gdot, hdot, (float(state.w.max()), float(state.z.max())))
     if ctrl.snapshot_every > 0:
         snap(state)
     istep, last, prev = 0, False, None
@@ -583,7 +613,7 @@ def _oracle_run(p, init, k, ctrl, stop_rule=None):
         gdot, hdot = _oracle_velocities(state, p, k)
         recorded = istep % ctrl.record_every == 0 or last
         if recorded:
-            rec.add(state, gdot, hdot)
+            rec.add(state, gdot, hdot, (float(state.w.max()), float(state.z.max())))
         if ctrl.snapshot_every > 0 and (istep % ctrl.snapshot_every == 0 or last):
             snap(state)
         if recorded and stop_rule is not None:
@@ -630,6 +660,54 @@ def test_step_and_velocities_match_field_by_field_oracle(family, kind, dt, h0):
     assert got.h[-1] - got.h[0] > 1e-3  # the fronts moved
     assert len(got.snapshots) > 1
     _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("h0", [0.4, 0.75, 1.5], ids=["m=n+1", "n/2<m<n", "m<n/2"])
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_velocities_match_position_based_fsum_oracle(family, kind, h0):
+    # the solver's distances j*(h-g)/n and left-to-right sums against the
+    # node positions' h - x and x - g and exactly rounded sums, on every
+    # state of a short run
+    p = _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=0.3, rho=2.0)
+    init = InitialData(h0, _tilted(h0, 0.6, 0.4), _tilted(h0, 0.5, -0.3))
+    k = make_kernel(family, 1.0)
+    traj = run(p, init, k, RunControl(horizon=0.1, n=64, dt=0.004, record_every=1, snapshot_every=1))
+    assert len(traj.snapshots) == 26
+    m = _front_m(State(0.0, traj.g[0], traj.h[0], traj.snapshots[0].u, traj.snapshots[0].v), k)
+    assert {0.4: m == 65, 0.75: 32 < m < 64, 1.5: m < 32}[h0]
+    for snap, gdot, hdot in zip(traj.snapshots, traj.gdot, traj.hdot):
+        want_g, want_h = _fsum_velocities(State(snap.t, snap.g, snap.h, snap.u, snap.v), p, k)
+        assert gdot == pytest.approx(want_g, rel=1e-12, abs=0.0)
+        assert hdot == pytest.approx(want_h, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 200])
+@pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
+def test_front_sums_ignore_the_batch_width_and_keep_mirror_symmetry(family, n):
+    # habitats of 0.5, 1.7, 6 and 25 radii in one batch: the shortest sets
+    # the front width of every row, far past the longest ones' own m.  Each
+    # habitat comes twice: off centre with random fields, and centred with
+    # mirror-symmetric ones.  At the radius 0.7, 0.75*r/r is not 0.75, which
+    # the parabolic tail mass must not round through
+    rng = np.random.default_rng(n)
+    k = make_kernel(family, 0.7)
+    p = _params(mu=0.3, rho=2.0)
+    states = []
+    for radii in (0.5, 1.7, 6.0, 25.0):
+        half = 0.5 * radii * k.radius
+        w, z = rng.uniform(0.0, 0.6, (2, n + 1))
+        w[[0, -1]] = z[[0, -1]] = 0.0
+        centre = rng.uniform(-2.0, 2.0)
+        states.append(State(0.0, centre - half, centre + half, w, z))
+        states.append(State(0.0, -half, half, w + w[::-1], z + z[::-1]))
+    rows = [solver._Row(p, s) for s in states]
+    batch = solver._Batch(k, rows, np.array([(s.w, s.z) for s in states]))
+    solver.boundary_velocities(batch)
+    for row, s in zip(rows, states):
+        assert (row.gdot, row.hdot) == velocities(s, p, k) == _oracle_velocities(s, p, k)
+    for row in rows[1::2]:
+        assert row.gdot == -row.hdot != 0.0
 
 
 @pytest.mark.parametrize("dt", [0.004, None], ids=["fixed-dt", "auto-dt"])
