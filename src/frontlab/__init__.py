@@ -16,7 +16,6 @@ from .classify import (
     ScanControl,
     ThresholdEstimate,
     classify,
-    ell_star_cached,
     estimate_threshold,
     make_dichotomy_stop,
     sweep,
@@ -60,7 +59,7 @@ __all__ = [
     # kernels, eigenvalues, critical length
     "Kernel", "make_kernel",
     "EigenProblem", "EigenResult", "default_n", "lambda_p", "lambda_p_interval",
-    "CriticalLengthResult", "critical_length", "ell_star_cached",
+    "CriticalLengthResult", "critical_length",
     # super-solution checks
     "SuperSolutionSpec", "DominationReport", "build_vanishing_supersolution", "check_domination",
     # configs

@@ -27,26 +27,17 @@ numpy 2.4 and scipy 1.17:
 - With ``erf`` from the ``scipy.special`` package, that package was
   187 ms cumulative under ``python -X importtime``, 137 ms of it in
   ``scipy._lib._array_api`` (medians of 10 fresh interpreters).
-- ``import scipy`` itself, which ``_flapack`` and ``_special_ufuncs`` do
-  not need, takes about 14 ms and 0.9 MiB of RSS.  Reading ``erf`` from
-  ``scipy.special._ufuncs``, which re-exports it and loads four sibling
-  extensions, took 4.2 ms and 2.4 MiB, against 1.3 ms and 1.1 MiB from
-  ``_special_ufuncs`` alone (medians of 15 fresh interpreters).  Without
-  both, ``import frontlab.cli`` went from 0.18 to 0.15 s and a Gaussian
-  kernel's process from 35.6 to 33.0 MiB of peak RSS (medians of 20
-  alternating fresh-interpreter pairs).
 
-Each module is registered in ``sys.modules`` under its own name, so a
-later package import shares it, and one that an earlier package import
-loaded is reused.  While one loads, and only when its package is not
-imported yet, a bare package module whose ``__path__`` is the package's
-directory stands in for it.
+A module loaded here is not left in ``sys.modules``: a later
+``import scipy.linalg`` or ``import scipy.special`` loads the module
+itself and binds it on its package.  Both are single-phase extension
+modules, so that second module is built from the first one's cached
+dict and holds the same routine objects.  One that an earlier package
+import loaded is reused from ``sys.modules``.
 
 A scipy without ``_special_ufuncs``, or whose ``_special_ufuncs`` has no
-``erf`` (the project allows scipy >= 1.10), gets ``erf`` from
-``scipy.special._ufuncs`` after ``import scipy``.  ``_ufuncs`` is a Cython
-module that imports its sibling extensions relative to the stand-in
-package.
+``erf`` (the project allows scipy >= 1.10), gets ``erf`` from the
+``scipy.special`` package and pays that package's import.
 """
 
 from __future__ import annotations
@@ -64,32 +55,22 @@ _root = _spec.submodule_search_locations[0]
 
 
 def _load(name: str) -> types.ModuleType:
-    """The extension module name, scipy.<subpackage>.<module>, loaded from
-    scipy's <subpackage> directory without running the subpackage's
-    __init__.py.  On any failure neither the stand-in package nor a
-    half-initialised name is left in sys.modules."""
+    """The extension module name, scipy.<subpackage>.<module>: the one in
+    sys.modules, or else one loaded from scipy's <subpackage> directory
+    without running any __init__.py and not left in sys.modules."""
     module = sys.modules.get(name)
     if module is not None:
         return module
-    package = name.rpartition(".")[0]
-    path = os.path.join(_root, package.rpartition(".")[2])
-    stand_in = package not in sys.modules
-    if stand_in:
-        sys.modules[package] = types.ModuleType(package)
-        sys.modules[package].__path__ = [path]
+    path = os.path.join(_root, name.split(".")[1])
+    spec = importlib.machinery.PathFinder.find_spec(name, [path])
+    if spec is None:
+        raise ModuleNotFoundError(f"no module named {name!r} in {path}", name=name)
+    # creating a single-phase extension module registers it in sys.modules
     try:
-        spec = importlib.machinery.PathFinder.find_spec(name, [path])
-        if spec is None:
-            raise ModuleNotFoundError(f"no module named {name!r} in {path}", name=name)
         module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
         spec.loader.exec_module(module)
-    except BaseException:
-        sys.modules.pop(name, None)
-        raise
     finally:
-        if stand_in:
-            del sys.modules[package]
+        sys.modules.pop(name, None)
     return module
 
 
@@ -106,10 +87,6 @@ def __getattr__(name: str):
         try:
             erf = _load("scipy.special._special_ufuncs").erf
         except (ModuleNotFoundError, AttributeError):
-            # a scipy whose erf lives in _ufuncs: load that after scipy's own
-            # __init__, as the scipy.special package would
-            import scipy  # noqa: F401
-
-            erf = _load("scipy.special._ufuncs").erf
+            from scipy.special import erf
         return erf
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

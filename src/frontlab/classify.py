@@ -203,8 +203,8 @@ class ThresholdEstimate:
 def _run_classified(jobs: list, k: Kernel, ctrl: RunControl, tols: ClassifyTolerances) -> list:
     """Run jobs, (p, init) pairs, as one batch, each under its dichotomy
     stop rule, then classify each trajectory.  Returns, in job order, each
-    Classification, or the exception that ended the run or its
-    classification."""
+    (Trajectory, Classification) pair, or the exception that ended the run
+    or its classification."""
     out: list = [None] * len(jobs)
     runs = []
     for i, (p, init) in enumerate(jobs):
@@ -215,7 +215,7 @@ def _run_classified(jobs: list, k: Kernel, ctrl: RunControl, tols: ClassifyToler
     for (i, (p, _, _)), res in zip(runs, run_batch([job for _, job in runs], k, ctrl)):
         if not isinstance(res, Exception):
             try:
-                res = classify(res, p, k, tols)
+                res = res, classify(res, p, k, tols)
             except Exception as exc:  # as above
                 res = exc
         out[i] = res
@@ -242,7 +242,7 @@ def _classify_at_scales(
         elif isinstance(res, Exception):
             raise res
         else:
-            verdicts.append(res.verdict)
+            verdicts.append(res[1].verdict)
     return verdicts
 
 
@@ -386,11 +386,13 @@ def _sweep_batch(cells: list) -> list[dict]:
     for out, job in prepared:
         res = job if isinstance(job, Exception) else next(results)
         if isinstance(res, Exception):
-            res = Classification("Failed", type(res).__name__, None, *[math.nan] * 6)
+            cls = Classification("Failed", type(res).__name__, None, *[math.nan] * 6)
+        else:
+            cls = res[1]
         # a result column reads the Classification field of its name, or
         # final_<name> where the field has that prefix (sup_u, sup_v)
         for name in PHASE_COLUMNS[len(SWEEP_AXES):]:
-            out[name] = getattr(res, name if hasattr(res, name) else "final_" + name)
+            out[name] = getattr(cls, name if hasattr(cls, name) else "final_" + name)
         rows.append(out)
     return rows
 

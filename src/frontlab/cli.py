@@ -17,7 +17,10 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .classify import classify, estimate_threshold, make_dichotomy_stop, sweep
+# classify and make_dichotomy_stop are unused here but stay imported:
+# bench/tracer.py SITES wrap frontlab.cli.classify and RULE_SITES
+# frontlab.cli.make_dichotomy_stop
+from .classify import _run_classified, classify, estimate_threshold, make_dichotomy_stop, sweep  # noqa: F401
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
@@ -124,9 +127,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg, outdir = _load(args)
-    stop = make_dichotomy_stop(cfg.model, cfg.kernel, cfg.numerics.horizon, cfg.tols)
-    traj = run(cfg.model, cfg.init_data(), cfg.kernel, cfg.numerics, stop_rule=stop)
-    cls = classify(traj, cfg.model, cfg.kernel, cfg.tols)
+    (res,) = _run_classified([(cfg.model, cfg.init_data())], cfg.kernel, cfg.numerics, cfg.tols)
+    if isinstance(res, Exception):
+        raise res
+    traj, cls = res
     written, _ = _emit_trajectory(outdir, cfg, traj)
     record = {
         "command": "classify",

@@ -89,36 +89,20 @@ def coexistence_state(params: ModelParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Uniform bounds honored by every run: 0 <= u <= k1, 0 <= v <= k2,
-    and |v_x| <= k2*k3 at the fronts."""
+    """Uniform bounds on the fields, 0 <= u <= k1 and 0 <= v <= k2, that
+    the solver checks after every step."""
 
     k1: float
     k2: float
-    k3: float
 
 
-def field_bounds(
-    params: ModelParams,
-    h0: float,
-    u0_max: float,
-    v0_max: float,
-    v0_slope_max: float,
-) -> Bounds:
-    """Bounds determined by the data; the solver checks them each step."""
+def field_bounds(params: ModelParams, u0_max: float, v0_max: float) -> Bounds:
+    """The bounds that the initial maxima u0_max and v0_max and the
+    reaction set: k1 = max(u0_max, a), and k2 = max(v0_max, 1) for
+    competition or max(v0_max, 1 + c*k1) for predation."""
     k1 = max(u0_max, params.a)
-    if params.kind == "competition":
-        k2 = max(v0_max, 1.0)
-        # f2 = v(1-v-cu) is largest at u=0, v=1/2
-        sup_f2 = 0.25
-    else:
-        k2 = max(v0_max, 1.0 + params.c * k1)
-        vertex = 0.5 * (1.0 + params.c * k1)
-        if vertex <= k2:
-            sup_f2 = vertex * vertex
-        else:
-            sup_f2 = k2 * (1.0 - k2 + params.c * k1)
-    k3 = max(1.0 / h0, math.sqrt(sup_f2 / (2.0 * params.d2)), v0_slope_max / k2)
-    return Bounds(k1=k1, k2=k2, k3=k3)
+    capacity = 1.0 if params.kind == "competition" else 1.0 + params.c * k1
+    return Bounds(k1=k1, k2=max(v0_max, capacity))
 
 
 def cosine_bump(h0: float, amp: float) -> Callable:

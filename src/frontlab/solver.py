@@ -159,14 +159,11 @@ def _columns(per_row: list[tuple]) -> tuple:
     return tuple(np.array(per_row).T[:, :, None])
 
 
-def _data_bounds(p: ModelParams, s: State) -> tuple[Bounds, float]:
-    """field_bounds taking s as initial data on a habitat of half-width
-    (h-g)/2, and the cap d1 + a + b*k2 + c*k1 + 1 those bounds put on
-    the rates of the explicit terms."""
-    n = len(s.w) - 1
-    half = 0.5 * (s.h - s.g)
-    slope = float(np.max(np.abs(np.diff(s.z)))) / (2.0 / n * half)
-    bounds = field_bounds(p, half, float(s.w.max()), float(s.z.max()), slope)
+def _data_bounds(p: ModelParams, u0_max: float, v0_max: float) -> tuple[Bounds, float]:
+    """field_bounds for initial maxima u0_max and v0_max, and the cap
+    d1 + a + b*k2 + c*k1 + 1 those bounds put on the rates of the
+    explicit terms."""
+    bounds = field_bounds(p, u0_max, v0_max)
     return bounds, p.d1 + p.a + p.b * bounds.k2 + p.c * bounds.k1 + 1.0
 
 
@@ -241,10 +238,10 @@ class _Row:
 
     def __init__(self, p: ModelParams, s0: State, stop_rule: Optional[Callable] = None, index: int = 0):
         self.p, self.stop_rule, self.index = p, stop_rule, index
-        self.bounds, self.rate_cap = _data_bounds(p, s0)
+        self.sups = (float(s0.w.max()), float(s0.z.max()))  # the fields' maxima, for the record and the bounds
+        self.bounds, self.rate_cap = _data_bounds(p, *self.sups)
         self.t, self.g, self.h = s0.t, s0.g, s0.h
         self.gdot = self.hdot = 0.0
-        self.sups = (float(s0.w.max()), float(s0.z.max()))  # the fields' maxima, for the record
         self.end, self.last, self.prev = None, False, None
         self.rec = _Recorder()
         self.snapshots: list[Snapshot] = []

@@ -33,7 +33,6 @@ from frontlab.config import parse_config
 from frontlab.kernels import KNOWN_FAMILIES
 from frontlab.model import coexistence_state, field_bounds
 from frontlab.output import phase_csv
-from frontlab.solver import initial_state
 
 TENT = make_kernel("tent", 1.0)
 
@@ -317,10 +316,7 @@ def _check_stepwise_bounds():
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.2, rho=0.2)
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.4)
     n = 64
-    s = initial_state(init, n)
-    dy = 2.0 / n
-    slope0 = float(np.max(np.abs(np.diff(s.z)))) / (dy * init.h0)
-    bnds = field_bounds(p, init.h0, 0.3, 0.4, slope0)
+    bnds = field_bounds(p, 0.3, 0.4)
     # every step of a dt = auto run
     traj = run(p, init, TENT, RunControl(horizon=6.5, n=n, record_every=1, snapshot_every=1))
     good = traj.termination == "horizon"

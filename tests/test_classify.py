@@ -23,7 +23,6 @@ from frontlab import (
     ScanControl,
     SolverFailure,
     classify,
-    ell_star_cached,
     estimate_threshold,
     make_dichotomy_stop,
     make_kernel,
@@ -41,6 +40,7 @@ from frontlab.classify import (
     UNDECIDED,
     VANISHING,
     _spread_lengths,
+    ell_star_cached,
 )
 from frontlab.config import parse_config
 from frontlab.output import phase_csv

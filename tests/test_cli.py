@@ -479,28 +479,26 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse, and scipy's packages with the array-API set-up they
     # run, would add to every command's start-up time and memory; LAPACK
     # comes from scipy's compiled wrapper alone, found without importing
-    # scipy, and the process pool's modules load only when a sweep starts
-    # a pool
+    # scipy and not left in sys.modules, and the process pool's modules
+    # load only when a sweep starts a pool
     code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
-    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
     assert not [m for m in loaded if m.startswith(("concurrent.futures", "multiprocessing"))]
-    # only the Gaussian kernel needs erf, and it adds the one extension that
-    # defines it when the kernel is made, so a sweep's forked pool workers
-    # inherit the module
+    # only the Gaussian kernel needs erf, and its extension, loaded when the
+    # kernel is made, is not left in sys.modules either
     code = (
         "import sys\n"
         "from frontlab.config import parse_config\n"
         "from frontlab.kernels import make_kernel\n"
         "def scipy_modules():\n"
         "    return {m for m in sys.modules if m.partition('.')[0] == 'scipy'}\n"
-        "before = scipy_modules()\n"
         "make_kernel('tent'), make_kernel('parabolic_bump')\n"
-        "print(sorted(scipy_modules() - before))\n"
+        "print(sorted(scipy_modules()))\n"
         f"parse_config({BASE.replace('tent', 'truncated_gaussian')!r})\n"
-        "print(sorted(scipy_modules() - before))\n"
+        "print(sorted(scipy_modules()))\n"
     )
-    assert _fresh_interpreter(code).splitlines() == ["[]", "['scipy.special._special_ufuncs']"]
+    assert _fresh_interpreter(code).splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("frontlab_first", [True, False], ids=["frontlab-first", "scipy-first"])
@@ -530,6 +528,21 @@ def test_scipy_packages_import_after_frontlab_loaded_erf():
     assert _fresh_interpreter(code).split() == ["True", "True"]
 
 
+def test_scipy_packages_bind_the_modules_frontlab_loaded_first():
+    # the packages imported after frontlab loaded their extension modules
+    # bind those modules as attributes, holding the routines frontlab holds
+    code = (
+        "import frontlab.cli, frontlab.solver as S\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg._flapack.dgtsv is S._gtsv)\n"
+        "from frontlab.kernels import make_kernel\n"
+        "make_kernel('truncated_gaussian')\n"
+        "import scipy.special\n"
+        "print(scipy.special._special_ufuncs.erf is scipy.special.erf)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "True"]
+
+
 def test_scipy_loader_failure_leaves_no_module_behind():
     code = (
         "import sys\n"
@@ -548,9 +561,9 @@ def test_scipy_loader_failure_leaves_no_module_behind():
     ["raise ModuleNotFoundError(name=name)", "return types.ModuleType(name)"],
     ids=["no-module", "no-erf"],
 )
-def test_erf_falls_back_to_ufuncs_without_special_ufuncs_erf(missing):
+def test_erf_falls_back_to_scipy_special_without_special_ufuncs_erf(missing):
     # a scipy whose _special_ufuncs is missing, or defines no erf, gets erf
-    # from scipy.special._ufuncs: still the object scipy.special hands out
+    # from the scipy.special package
     code = (
         "import sys, types\n"
         "from frontlab import _scipy\n"
@@ -561,11 +574,11 @@ def test_erf_falls_back_to_ufuncs_without_special_ufuncs_erf(missing):
         "    return load(name)\n"
         "_scipy._load = failing_load\n"
         "erf = _scipy.erf\n"
-        "print('scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "print('scipy.special' in sys.modules)\n"
         "import scipy.special\n"
         "print(erf is scipy.special.erf)\n"
     )
-    assert _fresh_interpreter(code).split() == ["True", "False", "True"]
+    assert _fresh_interpreter(code).split() == ["True", "True"]
 
 
 def test_missing_scipy_raises_module_not_found_for_scipy():

@@ -1,6 +1,5 @@
 """Reaction terms, parameter regimes, and a-priori bounds by hand computation."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,25 +98,21 @@ def test_coexistence_outside_regime_raises():
 
 
 def test_field_bounds_competition():
-    b = field_bounds(_params(), h0=0.5, u0_max=1.1, v0_max=0.3, v0_slope_max=0.2)
+    b = field_bounds(_params(), u0_max=1.1, v0_max=0.3)
     assert b.k1 == 1.1  # data exceeds a
     assert b.k2 == 1.0  # carrying capacity wins over the data
-    assert b.k3 == max(2.0, math.sqrt(0.25 / 2.0), 0.2)
 
 
 def test_field_bounds_competition_rate_wins():
-    b = field_bounds(_params(), h0=2.0, u0_max=0.1, v0_max=0.2, v0_slope_max=5.0)
+    b = field_bounds(_params(), u0_max=0.1, v0_max=0.2)
     assert b.k1 == 0.8
-    assert b.k3 == 5.0  # steep initial slope dominates
 
 
 def test_field_bounds_predation_capacity():
     p = _params("predation", a=2.0)
-    b = field_bounds(p, h0=1.0, u0_max=0.5, v0_max=0.2, v0_slope_max=0.1)
+    b = field_bounds(p, u0_max=0.5, v0_max=0.2)
     assert b.k1 == 2.0
     assert b.k2 == 1.0 + 0.5 * 2.0  # 1 + c*k1
-    # f2 vertex (1+c*k1)/2 = 1 <= k2, so sup f2 = 1
-    assert b.k3 == max(1.0, math.sqrt(1.0 / 2.0), 0.1 / b.k2)
 
 
 def test_cosine_bump_profile():

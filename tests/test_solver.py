@@ -231,7 +231,7 @@ def test_step_advances_time_and_pins_endpoints():
 def test_positivity_and_bounds_every_step():
     p = _params()
     init = InitialData.cosine(h0=1.0, amp_u=0.7, amp_v=0.9)
-    bnds = field_bounds(p, init.h0, 0.7, 0.9, 0.9 * math.pi / 2.0)
+    bnds = field_bounds(p, 0.7, 0.9)
     traj = run(p, init, TENT, RunControl(horizon=2.5, n=80, record_every=1, snapshot_every=1))
     assert len(traj.snapshots) == len(traj.t) > 20  # every step under dt = auto
     for s in traj.snapshots:
@@ -297,7 +297,8 @@ def test_auto_dt_is_stable():
     n = 100
     traj = run(p, init, TENT, RunControl(horizon=1.0, n=n, record_every=1))
     assert traj.termination == "horizon"
-    rate_cap = solver._data_bounds(p, initial_state(init, n))[1]
+    s0 = initial_state(init, n)
+    rate_cap = solver._data_bounds(p, s0.w.max(), s0.z.max())[1]
     zeta = 2.0 / traj.length[:-1] * np.maximum(-traj.gdot[:-1], traj.hdot[:-1])
     cap = 0.9 * solver._CFL * np.minimum(2.0 / n / zeta, 1.0 / rate_cap)
     assert np.all(np.diff(traj.t) <= cap * (1.0 + 1e-12))
@@ -306,7 +307,7 @@ def test_auto_dt_is_stable():
 def test_auto_dt_first_step_and_speed_change_guard():
     p = _params()
     s = initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3), 64)
-    rate_cap = solver._data_bounds(p, s)[1]
+    rate_cap = solver._data_bounds(p, s.w.max(), s.z.max())[1]
     gdot, hdot = -0.2, 0.2
     cap = solver._dt_cap(0.9 * solver._CFL, 2.0 / 64, 2.0 / (s.h - s.g) * 0.2, rate_cap)
     # no previous step: a fraction of the stability bound
@@ -531,7 +532,7 @@ class _OracleStepper:
         self.n = len(s0.w) - 1
         self.wq_ref = reference_grid(self.n)[1]
         self.dy = 2.0 / self.n
-        self.bounds, self.rate_cap = solver._data_bounds(p, s0)
+        self.bounds, self.rate_cap = solver._data_bounds(p, s0.w.max(), s0.z.max())
 
     def step(self, s: State, dt: float, gdot: float, hdot: float) -> State:
         p, k, n, dy = self.p, self.k, self.n, self.dy

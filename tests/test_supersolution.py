@@ -10,10 +10,10 @@ from frontlab import (
     RunControl,
     build_vanishing_supersolution,
     check_domination,
-    ell_star_cached,
     make_kernel,
     run,
 )
+from frontlab.classify import ell_star_cached
 
 TENT = make_kernel("tent", 1.0)
 
