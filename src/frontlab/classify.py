@@ -397,13 +397,65 @@ def _sweep_batch(cells: list) -> list[dict]:
     return rows
 
 
+def _sweep_child(conn, cells: list) -> None:
+    """Body of a sweep child process: sends the batch's rows, or the
+    exception that ended it, over conn."""
+    try:
+        res = _sweep_batch(cells)
+    except Exception as exc:  # the parent raises it
+        res = exc
+    with conn:
+        conn.send(res)
+
+
+def _fan_out(batches: list) -> list:
+    """Each batch's rows, in order: the first batch run in this process,
+    each other one in a child process that sends its rows back over a
+    one-way pipe.  A child that dies raises RuntimeError naming its exit
+    code."""
+    # imported here: no other command needs multiprocessing
+    import multiprocessing
+
+    children = []
+    try:
+        for cells in batches[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_sweep_child, args=(send, cells))
+            children.append((child, recv))
+            with send:  # closed here once the child holds it, so recv() ends if the child dies
+                child.start()
+        out = [_sweep_batch(batches[0])]
+        for child, recv in children:
+            # read before join: a child blocks in send until its rows are read
+            try:
+                res = recv.recv()
+            except EOFError:  # the child died before it sent anything
+                child.join()
+                raise RuntimeError(f"sweep child process exited with code {child.exitcode}") from None
+            child.join()
+            if isinstance(res, Exception):
+                raise res
+            out.append(res)
+        return out
+    finally:
+        for child, recv in children:
+            if child.is_alive():  # a failure ended the sweep before its rows were read
+                child.terminate()
+            if child.pid is not None:  # started
+                child.join()
+            recv.close()
+
+
 def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
     top of cfg.  Cells are expanded row-major in SWEEP_AXES order and dealt
-    round-robin into min(workers, cells) batches: one runs in-process, more
-    run one per pool process.  The output keeps the row-major order, and
-    each row is bit-identical, no matter how many workers run or in what
-    order they finish."""
+    round-robin into min(workers, cells) batches, so workers counts the
+    processes doing work: the first batch runs in this process, each other
+    batch in a child process of its own, started by multiprocessing's
+    default start method.  An exception that ends a child's batch is raised
+    here, and every child is joined before sweep returns or raises.  The
+    output keeps the row-major order, and each row is bit-identical, no
+    matter how many workers run or in what order they finish."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
@@ -415,12 +467,7 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     if batches == 1:
         rows = _sweep_batch(cells)
     else:
-        # imported here: concurrent.futures loads multiprocessing and
-        # logging, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
         rows = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=batches) as pool:
-            for i, part in enumerate(pool.map(_sweep_batch, [cells[j::batches] for j in range(batches)])):
-                rows[i::batches] = part
+        for i, part in enumerate(_fan_out([cells[j::batches] for j in range(batches)])):
+            rows[i::batches] = part
     return PhaseTable(columns=PHASE_COLUMNS, rows=rows)

@@ -69,8 +69,9 @@ class Kernel:
 
     def __post_init__(self):
         # _scipy.erf is bound here, when a truncated_gaussian kernel is
-        # made, and for no other family: a sweep's pool workers, forked
-        # after the kernel exists, inherit it
+        # made, and for no other family: a sweep child forked after the
+        # kernel exists inherits it, and a spawned one binds it on its
+        # first read
         if self.family == "truncated_gaussian":
             self._gauss_norm
 

@@ -4,9 +4,12 @@ Certificate logic is exercised on hand-crafted trajectories so each
 branch is hit exactly, then on real runs for end-to-end agreement.
 """
 
-import concurrent.futures
 import importlib
 import math
+import multiprocessing
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,33 +337,105 @@ def test_sweep_row_major_order_and_columns():
 
 
 def test_sweep_deterministic_across_worker_counts():
-    # 4 cells: one batch in-process, 2 and 3 batches in a pool, and more
-    # workers than cells
+    # 4 cells: one batch in-process, 2 and 3 batches with 1 and 2 child
+    # processes, and more workers than cells
     cfg = _sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0)
     serial = phase_csv(sweep(cfg, workers=1))
     for workers in (2, 3, 5):
         assert phase_csv(sweep(cfg, workers=workers)) == serial  # byte-identical
-    # the Gaussian kernel, whose tail mass calls scipy.special.erf in the pool workers
+    # the Gaussian kernel, whose tail mass calls scipy.special.erf in the children
     cfg = _sweep_config("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", horizon=10.0, family="truncated_gaussian")
     serial = phase_csv(sweep(cfg, workers=1))
     for workers in (2, 3):
         assert phase_csv(sweep(cfg, workers=workers)) == serial
+    assert multiprocessing.active_children() == []
+
+
+def _record_starts(monkeypatch) -> list:
+    """Every multiprocessing.Process started from now on, in start order."""
+    started = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def recording(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
 
 
 def test_sweep_starts_no_more_processes_than_batches(monkeypatch):
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def recording(max_workers=None, **kwargs):
-        started.append(max_workers)
-        return real(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    started = _record_starts(monkeypatch)
     cfg = _sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0)
-    pooled = sweep(cfg, workers=8)
-    assert started == [2]  # two cells, two batches
-    assert phase_csv(sweep(cfg, workers=1)) == phase_csv(pooled)
-    assert started == [2]  # one batch runs in-process
+    fanned = sweep(cfg, workers=8)
+    assert len(started) == 1  # two cells, two batches: one in this process, one in a child
+    assert multiprocessing.active_children() == []
+    assert phase_csv(sweep(cfg, workers=1)) == phase_csv(fanned)
+    assert len(started) == 1  # one batch starts no child
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the sweep is still waiting on a child after 30 s")
+
+
+@pytest.fixture
+def fork_children():
+    """Children started by fork, whatever the platform's default, so that
+    they inherit what a test patched in this process; a test that waits on
+    a child for 30 s fails instead of hanging."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    handler = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        multiprocessing.set_start_method(before, force=True)
+
+
+def _patch_batch(monkeypatch, in_parent, in_child):
+    """Replace _sweep_batch by in_parent(cells) in this process and by
+    in_child(cells) in every child forked from it."""
+    parent = os.getpid()
+    monkeypatch.setattr(
+        classify_module,
+        "_sweep_batch",
+        lambda cells: (in_parent if os.getpid() == parent else in_child)(cells),
+    )
+
+
+def test_sweep_child_that_dies_raises_its_exit_code(monkeypatch, fork_children):
+    _patch_batch(monkeypatch, classify_module._sweep_batch, lambda cells: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        sweep(_sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_child_exception_is_raised_with_its_type(monkeypatch, fork_children):
+    def fail(cells):
+        raise SolverFailure(f"child batch of {len(cells)} cells")
+
+    _patch_batch(monkeypatch, classify_module._sweep_batch, fail)
+    with pytest.raises(SolverFailure, match="child batch of 1 cells"):
+        sweep(_sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_parent_batch_exception_terminates_and_joins_children(monkeypatch, fork_children):
+    def fail(cells):
+        raise SolverFailure("parent batch")
+
+    started = _record_starts(monkeypatch)
+    _patch_batch(monkeypatch, fail, lambda cells: time.sleep(60))
+    with pytest.raises(SolverFailure, match="parent batch"):
+        sweep(_sweep_config("sweep.mu = 1e-6, 10.0, 1.0\n", horizon=5.0), workers=3)
+    assert len(started) == 2
+    assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_a_rate_row_all_spreading():

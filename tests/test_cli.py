@@ -479,8 +479,8 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse, and scipy's packages with the array-API set-up they
     # run, would add to every command's start-up time and memory; LAPACK
     # comes from scipy's compiled wrapper alone, found without importing
-    # scipy and not left in sys.modules, and the process pool's modules
-    # load only when a sweep starts a pool
+    # scipy and not left in sys.modules, and multiprocessing loads only
+    # when a sweep has more than one batch
     code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
@@ -499,6 +499,24 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         "print(sorted(scipy_modules()))\n"
     )
     assert _fresh_interpreter(code).splitlines() == ["[]", "[]"]
+
+
+def test_spawned_sweep_children_match_one_process():
+    # spawn, the default start method on macOS and Windows, starts each
+    # child from a fresh import (as Python 3.14's Linux default, forkserver,
+    # does), so nothing a child needs may come from state inherited by fork
+    text = BASE.replace("tent", "truncated_gaussian") + "sweep.a = 0.5, 1.0\nsweep.mu = 0.001, 1.0\n"
+    code = (
+        "import multiprocessing\n"
+        "from frontlab.classify import sweep\n"
+        "from frontlab.config import parse_config\n"
+        "from frontlab.output import phase_csv\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        f"cfg = parse_config({text!r})\n"
+        "print(phase_csv(sweep(cfg, workers=2)) == phase_csv(sweep(cfg, workers=1)))\n"
+        "print(multiprocessing.get_start_method(), multiprocessing.active_children())\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "spawn", "[]"]
 
 
 @pytest.mark.parametrize("frontlab_first", [True, False], ids=["frontlab-first", "scipy-first"])
