@@ -68,6 +68,14 @@ class Kernel:
         return self._gauss_norm * (gauss_part - (r - s) * edge)
 
     def __post_init__(self):
+        if self.family not in KNOWN_FAMILIES:
+            raise ValueError(
+                f"unknown kernel family {self.family!r}; known families: {', '.join(KNOWN_FAMILIES)}"
+            )
+        if not (self.radius > 0.0) or not math.isfinite(self.radius):
+            raise ValueError(f"kernel radius must be a positive finite number, got {self.radius!r}")
+        # checked as given, so a message shows the radius the caller passed
+        object.__setattr__(self, "radius", float(self.radius))
         # _scipy.erf is bound here, when a truncated_gaussian kernel is
         # made, and for no other family: a sweep child forked after the
         # kernel exists inherits it, and a spawned one binds it on its
@@ -146,10 +154,4 @@ def nonlocal_apply(k: Kernel, spacing: float, f: np.ndarray) -> np.ndarray:
 
 def make_kernel(family: str, radius: float = 1.0) -> Kernel:
     """Build a kernel from a family name and support radius."""
-    if family not in KNOWN_FAMILIES:
-        raise ValueError(
-            f"unknown kernel family {family!r}; known families: {', '.join(KNOWN_FAMILIES)}"
-        )
-    if not (radius > 0.0) or not math.isfinite(radius):
-        raise ValueError(f"kernel radius must be a positive finite number, got {radius!r}")
-    return Kernel(family=family, radius=float(radius))
+    return Kernel(family=family, radius=radius)

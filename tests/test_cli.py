@@ -612,6 +612,89 @@ def test_missing_scipy_raises_module_not_found_for_scipy():
     assert _fresh_interpreter(code).split() == ["scipy"]
 
 
+# appended to a fresh interpreter's code: prints, as JSON, the thread count
+# of each mapped OpenBLAS, read through its *_get_num_threads symbol and
+# keyed by the directory it was loaded from (numpy.libs and scipy.libs for
+# the wheels' two libraries), and OPENBLAS_NUM_THREADS as the code left it
+_PRINT_OPENBLAS_THREADS = (
+    "\nimport ctypes, json, os\n"
+    "threads = {}\n"
+    "if os.path.exists('/proc/self/maps'):\n"
+    "    with open('/proc/self/maps', encoding='utf-8') as fh:\n"
+    "        libs = sorted({line.split()[-1] for line in fh if 'openblas' in line and '.so' in line})\n"
+    "    for path in libs:\n"
+    "        lib = ctypes.CDLL(path)\n"
+    "        for symbol in ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',\n"
+    "                       'openblas_get_num_threads64_', 'openblas_get_num_threads'):\n"
+    "            fn = getattr(lib, symbol, None)\n"
+    "            if fn is not None:\n"
+    "                fn.restype, fn.argtypes = ctypes.c_int, []\n"
+    "                threads[os.path.basename(os.path.dirname(path))] = fn()\n"
+    "                break\n"
+    "print(json.dumps([threads, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+)
+
+
+def _openblas_threads(code: str) -> tuple[dict, str | None]:
+    """Each wheel OpenBLAS's thread count after code runs in a fresh
+    interpreter, and OPENBLAS_NUM_THREADS after it; skips where the two
+    libraries are not mapped, or fewer than 2 CPUs cap every pool at 1."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its pool at the CPUs available, fewer than 2 here")
+    threads, env = json.loads(_fresh_interpreter(code + _PRINT_OPENBLAS_THREADS).splitlines()[-1])
+    if not {"numpy.libs", "scipy.libs"} <= threads.keys():
+        pytest.skip(f"numpy's and scipy's wheel OpenBLAS libraries are not both mapped: {threads}")
+    return threads, env
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize(
+    ("env", "code", "scipy_threads"),
+    [
+        ("2", "import frontlab.cli", 1),
+        (None, "import frontlab.cli", 1),
+        ("2", "import scipy.linalg, frontlab.cli", 2),
+    ],
+    ids=["frontlab-first", "unset", "scipy-first"],
+)
+def test_scipy_openblas_loads_with_one_thread(monkeypatch, env, code, scipy_threads):
+    # frontlab loads scipy's LAPACK wrapper, and with it scipy's OpenBLAS,
+    # with OPENBLAS_NUM_THREADS=1 and then puts the variable back; numpy's
+    # OpenBLAS, and a scipy OpenBLAS already loaded, keep their pools
+    if env is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+    threads, env_after = _openblas_threads(code)
+    assert threads["scipy.libs"] == scipy_threads
+    if env is not None:
+        assert threads["numpy.libs"] == int(env)
+    assert env_after == env
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_scipy_pool_size_leaves_eigen_and_critical_length_bits(monkeypatch, tmp_path):
+    # at n = 16001 the band has kd = 80, where pbtrf runs blocked and calls
+    # BLAS level 3; a one-thread and a two-thread scipy pool write the same bytes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    commands = [
+        ["eigen", "--d", "1", "--theta0", "0.5", "--length", "200", "--n", "16001"],
+        ["critical-length", "--d1", "1", "--a", "0.05"],
+    ]
+    outputs = []
+    for first in ("", "import scipy.linalg\n"):
+        out = tmp_path / f"out{len(outputs)}"
+        code = first + "from frontlab.cli import main\n" + "".join(
+            f"assert main({argv + ['--out-dir', str(out)]!r}) == 0\n" for argv in commands
+        )
+        threads, _ = _openblas_threads(code)
+        files = [(out / name).read_bytes() for name in ("eigen.json", "critical_length.json")]
+        outputs.append((threads["scipy.libs"], files))
+    (one, bits_one), (two, bits_two) = outputs
+    assert (one, two) == (1, 2)
+    assert bits_one == bits_two
+
+
 @pytest.mark.parametrize("command", ["simulate", "classify", "threshold", "supersolution-check"])
 @pytest.mark.parametrize("h0", ["1e-200", "1e-310"])
 def test_h0_below_the_run_floor_exits_config(tmp_path, capsys, command, h0):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from frontlab import make_kernel
+from frontlab import Kernel, make_kernel
 from frontlab.kernels import KNOWN_FAMILIES, nonlocal_apply
 
 RADII = (0.5, 1.0, 2.5)
@@ -156,6 +156,29 @@ def test_unknown_family_lists_choices():
 def test_bad_radius_rejected(bad):
     with pytest.raises(ValueError):
         make_kernel("tent", bad)
+
+
+@pytest.mark.parametrize(
+    ("family", "radius", "message"),
+    [
+        ("tnet", 1.0, "unknown kernel family 'tnet'; known families: " + ", ".join(KNOWN_FAMILIES)),
+        ("tent", -1.0, "kernel radius must be a positive finite number, got -1.0"),
+    ],
+    ids=["misspelled-family", "negative-radius"],
+)
+def test_kernel_validates_itself(family, radius, message):
+    # Kernel is public, so a direct construction is checked as make_kernel's
+    # is; without the check these evaluated as the truncated Gaussian and
+    # as a tent with J(0) = -1
+    for build in (Kernel, make_kernel):
+        with pytest.raises(ValueError) as err:
+            build(family, radius)
+        assert str(err.value) == message
+
+
+def test_kernel_stores_its_radius_as_float():
+    assert type(Kernel("tent", 2).radius) is float
+    assert Kernel("tent", 2) == make_kernel("tent", 2.0)
 
 
 def test_gauss_norm_cached_closed_form_and_pickles():
