@@ -11,7 +11,6 @@ those functions take or return.  Everything else stays in its submodule.
 
 from .classify import (
     Classification,
-    ClassifyTolerances,
     PhaseTable,
     ScanControl,
     ThresholdEstimate,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     # simulation and classification
     "InitialData", "ModelParams", "RunControl", "Trajectory", "run",
-    "ClassifyTolerances", "Classification", "classify", "make_dichotomy_stop",
+    "Classification", "classify", "make_dichotomy_stop",
     "ScanControl", "ThresholdEstimate", "estimate_threshold",
     "PhaseTable", "sweep",
     # kernels, eigenvalues, critical length

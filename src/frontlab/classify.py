@@ -50,12 +50,13 @@ CERT_HORIZON = "HorizonExhausted"
 _PLATEAU_NOTE = "finite-horizon plateau rule (heuristic for an asymptotic property)"
 
 
-@dataclass(frozen=True)
-class ClassifyTolerances:
-    vanish_tol: float = 1e-3
-    speed_tol: float = 1e-3
-    eigen_slack: float = 1e-2
-    window_fraction: float = 0.1
+# the plateau rule's fixed tolerances: both sup norms below _VANISH_TOL and
+# both front speeds below _SPEED_TOL over the trailing _WINDOW_FRACTION of
+# the run, and a final eigenvalue at most _EIGEN_SLACK
+_VANISH_TOL = 1e-3
+_SPEED_TOL = 1e-3
+_EIGEN_SLACK = 1e-2
+_WINDOW_FRACTION = 0.1
 
 
 @dataclass
@@ -89,23 +90,20 @@ def _spread_lengths(p: ModelParams, k: Kernel) -> tuple[float, float]:
     return math.pi * math.sqrt(p.d2), ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
 
 
-def _quiet(rec, start: int, tols: ClassifyTolerances) -> bool:
-    """Whether both sup norms sit below vanish_tol and both front speeds
-    below speed_tol at every record from index start on."""
+def _quiet(rec, start: int) -> bool:
+    """Whether both sup norms sit below _VANISH_TOL and both front speeds
+    below _SPEED_TOL at every record from index start on."""
     return all(
-        rec.sup_u[i] < tols.vanish_tol
-        and rec.sup_v[i] < tols.vanish_tol
-        and abs(rec.gdot[i]) < tols.speed_tol
-        and abs(rec.hdot[i]) < tols.speed_tol
+        rec.sup_u[i] < _VANISH_TOL
+        and rec.sup_v[i] < _VANISH_TOL
+        and abs(rec.gdot[i]) < _SPEED_TOL
+        and abs(rec.hdot[i]) < _SPEED_TOL
         for i in range(start, len(rec.t))
     )
 
 
-def classify(
-    traj: Trajectory, p: ModelParams, k: Kernel, tols: ClassifyTolerances | None = None
-) -> Classification:
+def classify(traj: Trajectory, p: ModelParams, k: Kernel) -> Classification:
     """Verdict for a completed trajectory; Undecided is a valid outcome."""
-    tols = tols or ClassifyTolerances()
     length = traj.length
     final_dx = float(length[-1]) / traj.n
     eig_final = lambda_p_interval(p.d1, p.a, float(traj.g[-1]), float(traj.h[-1]), k)
@@ -130,14 +128,14 @@ def classify(
         cert = CERT_ELL_STAR if length[idx] > ell else CERT_PI_SQRT_D2
         return Classification(verdict=SPREADING, certificate=cert, fired_at=float(traj.t[idx]), **evidence)
 
-    # the records in the trailing window_fraction of [0, t_final], and at least
+    # the records in the trailing _WINDOW_FRACTION of [0, t_final], and at least
     # the last two: coarse record cadence (e.g. after an early stop) can leave one
-    start = min(bisect_left(traj.t, traj.t[-1] - tols.window_fraction * traj.t[-1]), traj.t.size - 2)
+    start = min(bisect_left(traj.t, traj.t[-1] - _WINDOW_FRACTION * traj.t[-1]), traj.t.size - 2)
     if (
         start >= 0
-        and _quiet(traj, start, tols)
+        and _quiet(traj, start)
         and evidence["final_length"] <= pi_bound + 2.0 * final_dx
-        and evidence["lambda_p_final"] <= tols.eigen_slack
+        and evidence["lambda_p_final"] <= _EIGEN_SLACK
     ):
         return Classification(
             verdict=VANISHING,
@@ -150,14 +148,14 @@ def classify(
     return Classification(verdict=UNDECIDED, certificate=CERT_HORIZON, fired_at=None, **evidence)
 
 
-def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: ClassifyTolerances | None = None):
+def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float):
     """Stop rule for run(): ends a run as soon as a spreading certificate
     fires or the vanishing plateau conditions hold over the trailing
-    window.  The eigenvalue condition is left to classify() afterwards."""
-    tols = tols or ClassifyTolerances()
+    window, the last _WINDOW_FRACTION of the horizon.  The eigenvalue
+    condition is left to classify() afterwards."""
     # None: spreading is unconditional
     threshold = None if p.a >= p.d1 else min(_spread_lengths(p, k))
-    window = tols.window_fraction * horizon
+    window = _WINDOW_FRACTION * horizon
 
     def rule(rec) -> Optional[str]:
         if threshold is None:
@@ -168,7 +166,7 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
         if t_now >= 2.0 * window:
             # rec.t increases, so the window is a suffix of the record
             start = bisect_left(rec.t, t_now - window)
-            if len(rec.t) - start >= 3 and _quiet(rec, start, tols):
+            if len(rec.t) - start >= 3 and _quiet(rec, start):
                 return "vanishing-plateau"
         return None
 
@@ -176,17 +174,18 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float, tols: Classif
 
 
 _SCAN_RECORD_EVERY = 5  # record cadence of every threshold-scan run
-_SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is below this
+_SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is at most this
 
 
 @dataclass(frozen=True)
 class ScanControl:
-    """Knobs for estimate_threshold's scan over the front-budget scale."""
+    """The grid of estimate_threshold's scan over the front-budget scale,
+    points scales log-spaced on [s_min, s_max], and the horizon and node
+    count of every run it makes."""
 
     s_min: float = 1e-6
     s_max: float = 1e3
     points: int = 8
-    max_bisect: int = 12
     horizon: float = 80.0
     n: int = 120
 
@@ -200,7 +199,7 @@ class ThresholdEstimate:
     scanned: list = field(default_factory=list)  # (scale, verdict) pairs, sorted
 
 
-def _run_classified(jobs: list, k: Kernel, ctrl: RunControl, tols: ClassifyTolerances) -> list:
+def _run_classified(jobs: list, k: Kernel, ctrl: RunControl) -> list:
     """Run jobs, (p, init) pairs, as one batch, each under its dichotomy
     stop rule, then classify each trajectory.  Returns, in job order, each
     (Trajectory, Classification) pair, or the exception that ended the run
@@ -209,13 +208,13 @@ def _run_classified(jobs: list, k: Kernel, ctrl: RunControl, tols: ClassifyToler
     runs = []
     for i, (p, init) in enumerate(jobs):
         try:
-            runs.append((i, (p, init, make_dichotomy_stop(p, k, ctrl.horizon, tols))))
+            runs.append((i, (p, init, make_dichotomy_stop(p, k, ctrl.horizon))))
         except Exception as exc:  # this job's own failure, for its caller to raise or report
             out[i] = exc
     for (i, (p, _, _)), res in zip(runs, run_batch([job for _, job in runs], k, ctrl)):
         if not isinstance(res, Exception):
             try:
-                res = res, classify(res, p, k, tols)
+                res = res, classify(res, p, k)
             except Exception as exc:  # as above
                 res = exc
         out[i] = res
@@ -229,14 +228,13 @@ def _classify_at_scales(
     scales: list,
     ray: tuple[float, float],
     ctrl: ScanControl,
-    tols: ClassifyTolerances,
 ) -> list[str]:
     """The verdict at each budget scale, the scales run as one batch; a
     SolverFailure makes its scale Undecided."""
     rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
     jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
     verdicts = []
-    for res in _run_classified(jobs, k, rc, tols):
+    for res in _run_classified(jobs, k, rc):
         if isinstance(res, SolverFailure):
             verdicts.append(UNDECIDED)
         elif isinstance(res, Exception):
@@ -252,7 +250,6 @@ def estimate_threshold(
     k: Kernel,
     ray: tuple[float, float] = (0.5, 0.5),
     ctrl: ScanControl | None = None,
-    tols: ClassifyTolerances | None = None,
 ) -> ThresholdEstimate:
     """Bracket the front-budget threshold along the ray (mu, rho) =
     s*(mu_hat, rho_hat).
@@ -261,11 +258,13 @@ def estimate_threshold(
     and h0 < half of min{pi*sqrt(d2), critical length}: otherwise
     spreading is unconditional and no threshold exists.  A geometric scan
     locates Vanishing and Spreading scales, then bisection in log scale
-    tightens the bracket.  Verdicts are not guaranteed monotone in s;
-    monotone_flag reports what the scan actually saw.
+    tightens the bracket, one probe at its geometric midpoint per round,
+    until upper/lower <= 1.5 or a probe comes back Undecided.  Every run
+    ends under make_dichotomy_stop and is judged by classify, whose
+    plateau rule has fixed tolerances.  Verdicts are not guaranteed
+    monotone in s; monotone_flag reports what the scan actually saw.
     """
     ctrl = ctrl or ScanControl()
-    tols = tols or ClassifyTolerances()
     mu_hat, rho_hat = ray
     if mu_hat < 0 or rho_hat < 0 or mu_hat + rho_hat <= 0:
         raise ValueError(f"ray must be nonnegative with positive sum, got {ray}")
@@ -284,7 +283,7 @@ def estimate_threshold(
         )
 
     scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points).tolist()
-    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl, tols)))
+    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl)))
 
     def verdicts():
         return sorted(records.items())
@@ -312,11 +311,11 @@ def estimate_threshold(
     lower = max(bracketable)
     upper = min(ss for ss in spreading if ss > lower)
 
-    for _ in range(ctrl.max_bisect):
-        if upper / lower <= _SCAN_RATIO_TOL:
-            break
+    # each verdict halves log(upper/lower), so a bracket of doubles reaches
+    # _SCAN_RATIO_TOL within 12 rounds
+    while upper / lower > _SCAN_RATIO_TOL:
         mid = math.sqrt(lower * upper)
-        (verdict,) = _classify_at_scales(p, init, k, [mid], ray, ctrl, tols)
+        (verdict,) = _classify_at_scales(p, init, k, [mid], ray, ctrl)
         records[mid] = verdict
         if verdict == VANISHING:
             lower = mid
@@ -381,7 +380,7 @@ def _sweep_batch(cells: list) -> list[dict]:
     prepared = [_sweep_cell(cell) for cell in cells]
     jobs = [job for _, job in prepared if not isinstance(job, Exception)]
     ctrl = replace(cfg.numerics, snapshot_every=0)
-    results = iter(_run_classified(jobs, cfg.kernel, ctrl, cfg.tols))
+    results = iter(_run_classified(jobs, cfg.kernel, ctrl))
     rows = []
     for out, job in prepared:
         res = job if isinstance(job, Exception) else next(results)
@@ -413,8 +412,9 @@ def _fan_out(batches: list) -> list:
     each other one in a child process that sends its rows back over a
     one-way pipe.  A child that dies raises RuntimeError naming its exit
     code."""
-    # imported here: no other command needs multiprocessing
-    import multiprocessing
+    if len(batches) > 1:
+        # imported here: nothing but a sweep with a second batch needs it
+        import multiprocessing
 
     children = []
     try:
@@ -464,10 +464,7 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
         for combo in product(*(cfg.sweep_axes[name] for name in names))
     ]
     batches = min(workers, len(cells))
-    if batches == 1:
-        rows = _sweep_batch(cells)
-    else:
-        rows = [None] * len(cells)
-        for i, part in enumerate(_fan_out([cells[j::batches] for j in range(batches)])):
-            rows[i::batches] = part
+    rows = [None] * len(cells)
+    for i, part in enumerate(_fan_out([cells[j::batches] for j in range(batches)])):
+        rows[i::batches] = part
     return PhaseTable(columns=PHASE_COLUMNS, rows=rows)

@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg, outdir = _load(args)
-    (res,) = _run_classified([(cfg.model, cfg.init_data())], cfg.kernel, cfg.numerics, cfg.tols)
+    (res,) = _run_classified([(cfg.model, cfg.init_data())], cfg.kernel, cfg.numerics)
     if isinstance(res, Exception):
         raise res
     traj, cls = res
@@ -153,9 +153,7 @@ def cmd_classify(args) -> int:
 
 def cmd_threshold(args) -> int:
     cfg, outdir = _load(args)
-    est = estimate_threshold(
-        cfg.model, cfg.init_data(), cfg.kernel, ray=cfg.ray, ctrl=cfg.scan, tols=cfg.tols
-    )
+    est = estimate_threshold(cfg.model, cfg.init_data(), cfg.kernel, ray=cfg.ray, ctrl=cfg.scan)
     record = {
         "command": "threshold",
         "ray": list(est.ray),

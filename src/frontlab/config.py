@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .classify import SWEEP_AXES, ClassifyTolerances, ScanControl
+from .classify import SWEEP_AXES, ScanControl
 from .errors import ConfigError
 from .kernels import KNOWN_FAMILIES, Kernel, make_kernel
 from .model import KINDS, InitialData, ModelParams
@@ -95,13 +95,6 @@ def _parse_kind_list(raw: str) -> list[str]:
     return toks
 
 
-def _parse_fraction(raw: str) -> float:
-    val = _parse_float(raw)
-    if not (0.0 < val <= 0.5):
-        raise ValueError(f"must be in (0, 0.5], got {raw}")
-    return val
-
-
 def _parse_formats(raw: str) -> str:
     toks = {tok.strip() for tok in raw.split(",") if tok.strip()}
     bad = toks - {"csv", "json"}
@@ -121,7 +114,6 @@ _FIELD = object()
 _SECTIONS = {
     "model": ModelParams,
     "numerics": RunControl,
-    "classify": ClassifyTolerances,
     "threshold": ScanControl,
 }
 
@@ -146,16 +138,11 @@ _SCHEMA = {
     "numerics.horizon": (_parse_pos_float, 100.0),
     "numerics.record_every": (_parse_int(1), _FIELD),
     "numerics.snapshot_every": (_parse_int(0), _FIELD),
-    "classify.vanish_tol": (_parse_pos_float, _FIELD),
-    "classify.speed_tol": (_parse_pos_float, _FIELD),
-    "classify.eigen_slack": (_parse_pos_float, _FIELD),
-    "classify.window_fraction": (_parse_fraction, _FIELD),
     "threshold.ray_mu": (_parse_nonneg_float, 0.5),
     "threshold.ray_rho": (_parse_nonneg_float, 0.5),
     "threshold.s_min": (_parse_pos_float, _FIELD),
     "threshold.s_max": (_parse_pos_float, _FIELD),
     "threshold.points": (_parse_int(2), _FIELD),
-    "threshold.max_bisect": (_parse_int(0), _FIELD),
     "threshold.horizon": (_parse_pos_float, _FIELD),
     "threshold.n": (_parse_int(8), _FIELD),
     "supersolution.h1": (_parse_pos_float_or_auto, None),
@@ -197,7 +184,6 @@ class RunConfig:
     amp_u: float
     amp_v: float
     numerics: RunControl
-    tols: ClassifyTolerances
     scan: ScanControl
     ray: tuple[float, float]
     h1: Optional[float]
@@ -263,7 +249,6 @@ def parse_config(text: str) -> RunConfig:
         amp_u=resolved["init.amp_u"],
         amp_v=resolved["init.amp_v"],
         numerics=_build_section("numerics", resolved),
-        tols=_build_section("classify", resolved),
         scan=_build_section("threshold", resolved),
         ray=(resolved["threshold.ray_mu"], resolved["threshold.ray_rho"]),
         h1=resolved["supersolution.h1"],

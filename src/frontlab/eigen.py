@@ -123,14 +123,21 @@ def default_n(ell1: float, ell2: float, kernel: Kernel) -> int:
     ceil keeps spacing <= radius/8; when length is a multiple of the
     radius the support edges of J(x_i - .) land on nodes, where the
     trapezoid rule is exact for kinked kernels and row sums cannot
-    exceed unit mass.
+    exceed unit mass.  A ValueError names a length whose node count is not
+    finite.
     """
     for name, end in (("ell1", ell1), ("ell2", ell2)):
         if not math.isfinite(end):
             raise ValueError(f"{name} must be finite, got {end!r}")
     length = ell2 - ell1
-    intervals = math.ceil(length / (kernel.radius / 8.0))
-    return max(9, intervals + 1)
+    # length/radius*8 rounds as length/(radius/8) does, and cannot divide by
+    # a radius/8 that underflowed to 0
+    intervals = length / kernel.radius * 8.0
+    if not math.isfinite(intervals):
+        raise ValueError(
+            f"interval length {length!r} too long for radius {kernel.radius!r}: its node count overflows"
+        )
+    return max(9, math.ceil(intervals) + 1)
 
 
 def _shifted_band(prob: EigenProblem, sqrt_w: np.ndarray, sigma: float) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from frontlab import (
-    ClassifyTolerances,
     ConfigError,
     InconclusiveError,
     InitialData,
@@ -132,21 +131,21 @@ def test_vanishing_plateau_crafted():
     assert cls.lambda_p_final < 0.0
 
 
-def test_plateau_rejected_when_eigenvalue_positive():
+def test_plateau_rejected_when_eigenvalue_positive(monkeypatch):
     # same decay profile on a habitat just under ell* = 0.632, where
-    # lambda_p is about -0.007: with eigen_slack below that, the eigenvalue
-    # check alone forbids Vanishing
+    # lambda_p is about -0.007: with the eigenvalue slack below that, the
+    # eigenvalue check alone forbids Vanishing
     p = _params(a=0.5)
-    tols = ClassifyTolerances(eigen_slack=-0.01)
     t = np.linspace(0.0, 100.0, 21)
     half = np.full(21, 0.31)  # length 0.62
     sup = np.geomspace(1e-2, 1e-5, 21)
     traj = _traj(t, half, sup, sup, np.full(21, 1e-7))
-    cls = classify(traj, p, TENT, tols)
+    assert classify(traj, p, TENT).verdict == VANISHING
+    monkeypatch.setattr(classify_module, "_EIGEN_SLACK", -0.01)
+    cls = classify(traj, p, TENT)
     assert cls.verdict == UNDECIDED
     assert cls.certificate == CERT_HORIZON
-    assert tols.eigen_slack < cls.lambda_p_final < 0.0
-    assert classify(traj, p, TENT).verdict == VANISHING
+    assert -0.01 < cls.lambda_p_final < 0.0
 
 
 def test_undecided_when_norms_still_large():
@@ -175,7 +174,7 @@ def test_ell_star_cache_hits():
 
 def test_dichotomy_stop_rule_reasons():
     p = _params(a=0.5)
-    rule = make_dichotomy_stop(p, TENT, horizon=40.0, tols=ClassifyTolerances())
+    rule = make_dichotomy_stop(p, TENT, horizon=40.0)
     grow = SimpleNamespace(
         t=[0.0, 1.0], g=[-0.25, -0.4], h=[0.25, 0.4],
         gdot=[-0.1, -0.1], hdot=[0.1, 0.1], sup_u=[0.5, 0.5], sup_v=[0.5, 0.5],
@@ -272,9 +271,7 @@ def test_threshold_one_sided_scans_inconclusive():
 def test_threshold_scale_verdicts_pinned_under_auto_dt(scale, verdict):
     # criterion-08 setup (competition, tent, h0 = 0.3) with the default scan
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    got = classify_module._classify_at_scales(
-        _params(), init, TENT, [scale], (0.5, 0.5), ScanControl(), ClassifyTolerances()
-    )
+    got = classify_module._classify_at_scales(_params(), init, TENT, [scale], (0.5, 0.5), ScanControl())
     assert got == [verdict]
 
 
@@ -282,9 +279,7 @@ def test_threshold_scales_batched_match_one_at_a_time():
     # the three pinned scales as one batch give each scale's own verdict
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
     scales = [11.78768634793589, 17.06643681296347, 24.709112279856093]
-    got = classify_module._classify_at_scales(
-        _params(), init, TENT, scales, (0.5, 0.5), ScanControl(), ClassifyTolerances()
-    )
+    got = classify_module._classify_at_scales(_params(), init, TENT, scales, (0.5, 0.5), ScanControl())
     assert got == [VANISHING, VANISHING, SPREADING]
 
 
@@ -297,11 +292,68 @@ def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
 
     monkeypatch.setattr(classify_module, "run_batch", failing_run_batch)
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    got = classify_module._classify_at_scales(
-        _params(), init, TENT, [17.0], (0.5, 0.5), ScanControl(), ClassifyTolerances()
-    )
+    got = classify_module._classify_at_scales(_params(), init, TENT, [17.0], (0.5, 0.5), ScanControl())
     assert got == [UNDECIDED]
     assert calls == [(1, None)]  # one dt = auto attempt
+
+
+def _fake_scan(monkeypatch, grid_verdicts, probe_verdict) -> list:
+    """Give estimate_threshold made-up verdicts: grid_verdicts for its grid,
+    then probe_verdict(s) for each bisection probe s.  Returns the list of
+    scale lists it asks for, the grid first."""
+    calls = []
+
+    def fake(p, init, k, scales, ray, ctrl):
+        calls.append(list(scales))
+        if len(calls) == 1:
+            assert len(scales) == len(grid_verdicts)
+            return list(grid_verdicts)
+        return [probe_verdict(s) for s in scales]
+
+    monkeypatch.setattr(classify_module, "_classify_at_scales", fake)
+    return calls
+
+
+_SCAN_INIT = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
+
+
+@pytest.mark.parametrize("threshold", [2e-150, 1e-40, 17.07, 1e100, 5e149])
+def test_scan_refines_the_widest_grid_within_11_rounds(monkeypatch, threshold):
+    # each verdict halves log(upper/lower), from log(1e300) to log(1.5) in 11
+    calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], lambda s: VANISHING if s < threshold else SPREADING)
+    ctrl = ScanControl(s_min=1e-150, s_max=1e150, points=2)
+    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ctrl)
+    assert est.lower < threshold <= est.upper
+    assert est.upper / est.lower <= 1.5
+    assert 1 <= len(calls) - 1 <= 11 and all(len(scales) == 1 for scales in calls[1:])
+    assert est.monotone_flag
+    assert len(est.scanned) == len(calls) + 1
+
+
+def test_scan_ends_at_an_undecided_probe(monkeypatch):
+    # the first probe narrows the bracket, the second comes back Undecided
+    probes = iter([VANISHING, UNDECIDED])
+    calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], lambda s: next(probes))
+    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ScanControl(s_min=1e-6, s_max=1e3, points=2))
+    first, second = calls[1][0], calls[2][0]
+    assert len(calls) == 3
+    assert (est.lower, est.upper) == (first, 1e3)
+    assert est.scanned == [(1e-6, VANISHING), (first, VANISHING), (second, UNDECIDED), (1e3, SPREADING)]
+    assert est.monotone_flag  # the Undecided scale lies inside the bracket
+
+
+def test_scan_brackets_the_last_vanishing_spreading_pair(monkeypatch):
+    # grid verdicts V S V S: the bracket starts from the last pair, and the
+    # Spreading verdict below it is reported
+    calls = _fake_scan(
+        monkeypatch, [VANISHING, SPREADING, VANISHING, SPREADING], lambda s: VANISHING if s < 30.0 else SPREADING
+    )
+    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ScanControl(s_min=1e-6, s_max=1e3, points=4))
+    grid = calls[0]
+    assert all(grid[2] < scales[0] < grid[3] for scales in calls[1:])
+    assert est.lower < 30.0 <= est.upper and est.upper / est.lower <= 1.5
+    assert not est.monotone_flag
+    assert [v for s, v in est.scanned if s < est.lower][:3] == [VANISHING, SPREADING, VANISHING]
 
 
 def _sweep_config(axes: str, horizon: float = 20.0, family: str = "tent"):
@@ -478,11 +530,12 @@ def test_sweep_rejects_unknown_axis():
     assert "unknown key 'sweep.b'" in str(err.value)
 
 
-def _scan_rule(p, horizon, tols):
+def _scan_rule(p, horizon):
     """The stop rule with its trailing window found by a full scan of rec.t:
     the oracle for make_dichotomy_stop's bisection."""
     threshold = min(_spread_lengths(p, TENT))
-    window = tols.window_fraction * horizon
+    window = classify_module._WINDOW_FRACTION * horizon
+    vanish_tol, speed_tol = classify_module._VANISH_TOL, classify_module._SPEED_TOL
 
     def rule(rec):
         if rec.h[-1] - rec.g[-1] > threshold:
@@ -491,10 +544,10 @@ def _scan_rule(p, horizon, tols):
         if t_now >= 2.0 * window:
             tail = [i for i, t in enumerate(rec.t) if t >= t_now - window]
             if len(tail) >= 3 and all(
-                rec.sup_u[i] < tols.vanish_tol
-                and rec.sup_v[i] < tols.vanish_tol
-                and abs(rec.gdot[i]) < tols.speed_tol
-                and abs(rec.hdot[i]) < tols.speed_tol
+                rec.sup_u[i] < vanish_tol
+                and rec.sup_v[i] < vanish_tol
+                and abs(rec.gdot[i]) < speed_tol
+                and abs(rec.hdot[i]) < speed_tol
                 for i in tail
             ):
                 return "vanishing-plateau"
@@ -505,12 +558,11 @@ def _scan_rule(p, horizon, tols):
 
 def test_stop_rule_window_by_bisection_matches_scan():
     p = _params(a=0.5)
-    tols = ClassifyTolerances()
     horizon = 60.0
-    rule = make_dichotomy_stop(p, TENT, horizon, tols)
-    oracle = _scan_rule(p, horizon, tols)
+    rule = make_dichotomy_stop(p, TENT, horizon)
+    oracle = _scan_rule(p, horizon)
     # record times 0.05 apart, so the window edge t_now - 6 often lands on a
-    # record; sup norms decay through vanish_tol, with bursts at t = 38, 47
+    # record; sup norms decay through _VANISH_TOL, with bursts at t = 38, 47
     # that break the plateau for one window each; the habitat, 0.5 long,
     # outgrows ell* = 0.632 after t = 58
     t = np.round(np.arange(1200) * 0.05, 10)

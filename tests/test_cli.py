@@ -197,7 +197,6 @@ numerics.n = 64
 threshold.points = 4
 threshold.horizon = 40.0
 threshold.n = 64
-threshold.max_bisect = 4
 """
 
 
@@ -292,12 +291,24 @@ def test_unknown_key_exit_code(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
 
-def test_spread_length_is_an_unknown_key(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE + "classify.spread_length = 0.5\n")
+@pytest.mark.parametrize(
+    "key",
+    [
+        "classify.spread_length",
+        "classify.vanish_tol",
+        "classify.speed_tol",
+        "classify.eigen_slack",
+        "classify.window_fraction",
+        "threshold.max_bisect",
+    ],
+)
+def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):
+    # keys frontlab once read; a config that still sets one is refused, not ignored
+    cfg = _write(tmp_path, BASE + f"{key} = 0.1\n")
     assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert "unknown key 'classify.spread_length'" in err["message"]
+    assert f"unknown key '{key}'" in err["message"]
 
 
 @pytest.mark.parametrize(
@@ -310,6 +321,8 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys):
         (["critical-length", "--d1", "inf", "--a", "0.5"], "d1 must be finite, got inf"),
         (["critical-length", "--d1", "1", "--a", "nan"], "a must be finite, got nan"),
         (["eigen", "--d", "1", "--theta0", "0.5", "--length", "1e-300"], "interval length 1e-300 too short"),
+        (["eigen", "--d", "1", "--theta0", "0.5", "--length", "1e308"], "interval length 1e+308 too long"),
+        (["eigen", "--d", "1", "--theta0", "0.5", "--length", "2", "--radius", "1e-323"], "interval length 2.0 too long"),
     ],
     ids=[
         "eigen-d=-1",
@@ -319,6 +332,8 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys):
         "crit-d1=inf",
         "crit-a=nan",
         "eigen-length=1e-300",
+        "eigen-length=1e308",
+        "eigen-radius=1e-323",
     ],
 )
 def test_bad_flag_value_exit_code(tmp_path, capsys, argv, message):
@@ -499,6 +514,21 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         "print(sorted(scipy_modules()))\n"
     )
     assert _fresh_interpreter(code).splitlines() == ["[]", "[]"]
+
+
+def test_one_worker_sweep_leaves_multiprocessing_unloaded(tmp_path):
+    # one batch runs in the calling process and starts no child
+    cfg = _write(tmp_path, BASE + "sweep.a = 0.5, 1.0\nsweep.mu = 0.001, 1.0\n")
+    argv = ["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--workers", "1"]
+    code = (
+        "import sys\n"
+        "from frontlab.cli import main\n"
+        f"print(main({argv!r}))\n"
+        "print([m for m in sys.modules if m.startswith('multiprocessing')])\n"
+    )
+    lines = _fresh_interpreter(code).splitlines()
+    assert lines[-2:] == ["0", "[]"]
+    assert json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"] == 4
 
 
 def test_spawned_sweep_children_match_one_process():

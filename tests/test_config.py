@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from frontlab import ClassifyTolerances, ConfigError, RunControl, ScanControl, load_config
+from frontlab import ConfigError, RunControl, ScanControl, load_config
 from frontlab.config import parse_config, render_config
 
 MINIMAL = """\
@@ -38,7 +38,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.sweep_axes == {}
     # the section defaults are the dataclasses' own
     assert cfg.numerics == RunControl(horizon=100.0)
-    assert cfg.tols == ClassifyTolerances()
     assert cfg.scan == ScanControl()
 
 
@@ -140,7 +139,7 @@ def test_bad_kernel_family_rejected():
 def test_render_parse_round_trip():
     cfg = parse_config(
         MINIMAL
-        + "numerics.dt = 0.037\nsweep.a = 0.4, 0.8\nclassify.vanish_tol = 5e-4\n"
+        + "numerics.dt = 0.037\nsweep.a = 0.4, 0.8\n"
         + "output.directory = /tmp/somewhere\n"
     )
     text = render_config(cfg.resolved)
