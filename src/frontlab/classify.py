@@ -18,6 +18,7 @@ fired:
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -175,6 +176,9 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float):
 
 _SCAN_RECORD_EVERY = 5  # record cadence of every threshold-scan run
 _SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is at most this
+# bisection levels probed per refinement round on more than one CPU: the
+# default grid's neighbour ratio, 10**(9/7) ~ 19.3, takes 3 halvings to 1.5
+_SCAN_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -221,18 +225,89 @@ def _run_classified(jobs: list, k: Kernel, ctrl: RunControl) -> list:
     return out
 
 
-def _classify_at_scales(
-    p: ModelParams,
-    init: InitialData,
-    k: Kernel,
-    scales: list,
-    ray: tuple[float, float],
-    ctrl: ScanControl,
-) -> list[str]:
-    """The verdict at each budget scale, the scales run as one batch; a
-    SolverFailure makes its scale Undecided."""
-    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
-    jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
+def _cpus() -> int:
+    """The number of CPUs this process may run on, by its affinity; a
+    cgroup CPU quota is not counted."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan_cpus() -> int:
+    """The CPUs a threshold scan spreads its rounds over: _cpus() where
+    child processes start by fork, otherwise 1.  A child started by spawn
+    or forkserver imports numpy and frontlab afresh, which costs more than
+    the round it shares, and its jobs, initial profiles included, would
+    have to pickle."""
+    cpus = _cpus()
+    if cpus == 1:
+        return 1
+    # imported here: on one CPU a scan starts no child
+    import multiprocessing
+
+    # the default start method, without fixing it for the caller
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return cpus if method == "fork" else 1
+
+
+def _child(conn, fn, batch) -> None:
+    """Body of a fan-out child process: sends fn(batch), or the exception
+    that ended it, over conn."""
+    try:
+        res = fn(batch)
+    except Exception as exc:  # the parent raises it
+        res = exc
+    with conn:
+        conn.send(res)
+
+
+def _fan_out(fn, batches: list) -> list:
+    """fn(batch) for each batch, in order: the first batch run in this
+    process, each other one in a child process, started by
+    multiprocessing's default start method, that sends its result back
+    over a one-way pipe.  Under spawn, fn and the batches must pickle.  An
+    exception that ends a child's batch is raised here, and a child that
+    dies raises RuntimeError naming its exit code.  Every child is joined
+    before this returns or raises."""
+    if len(batches) > 1:
+        # imported here: nothing but a second batch needs it
+        import multiprocessing
+
+    children = []
+    try:
+        for batch in batches[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_child, args=(send, fn, batch))
+            children.append((child, recv))
+            with send:  # closed here once the child holds it, so recv() ends if the child dies
+                child.start()
+        out = [fn(batches[0])]
+        for child, recv in children:
+            # read before join: a child blocks in send until its result is read
+            try:
+                res = recv.recv()
+            except EOFError:  # the child died before it sent anything
+                child.join()
+                raise RuntimeError(f"child process exited with code {child.exitcode}") from None
+            child.join()
+            if isinstance(res, Exception):
+                raise res
+            out.append(res)
+        return out
+    finally:
+        for child, recv in children:
+            if child.is_alive():  # a failure ended the fan-out before its result was read
+                child.terminate()
+            if child.pid is not None:  # started
+                child.join()
+            recv.close()
+
+
+def _scan_part(part: tuple) -> list[str]:
+    """One part of a scan round, (kernel, RunControl, jobs), run as one
+    batch: the verdict of each job, Undecided where a SolverFailure ended
+    it.  Any other exception is raised."""
+    k, rc, jobs = part
     verdicts = []
     for res in _run_classified(jobs, k, rc):
         if isinstance(res, SolverFailure):
@@ -242,6 +317,39 @@ def _classify_at_scales(
         else:
             verdicts.append(res[1].verdict)
     return verdicts
+
+
+def _classify_at_scales(
+    p: ModelParams,
+    init: InitialData,
+    k: Kernel,
+    scales: list,
+    ray: tuple[float, float],
+    ctrl: ScanControl,
+    cpus: int = 1,
+) -> list[str]:
+    """The verdict at each budget scale; a SolverFailure makes its scale
+    Undecided.  The scales are dealt round-robin into min(cpus, scales)
+    parts, each run as one batch by _fan_out: the first in this process,
+    each other one in a child process.  Each verdict is the one its scale
+    gets alone, so the split does not change it."""
+    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
+    jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
+    parts = max(1, min(cpus, len(jobs)))  # one part, run here, for no scales
+    verdicts = [None] * len(jobs)
+    for i, part in enumerate(_fan_out(_scan_part, [(k, rc, jobs[j::parts]) for j in range(parts)])):
+        verdicts[i::parts] = part
+    return verdicts
+
+
+def _bisection_tree(lower: float, upper: float, levels: int) -> list[float]:
+    """The geometric midpoints that up to levels rounds of bisection from
+    (lower, upper) can probe, whichever way each verdict goes, parents
+    before children; a branch ends where upper/lower <= _SCAN_RATIO_TOL."""
+    if levels == 0 or upper / lower <= _SCAN_RATIO_TOL:
+        return []
+    mid = math.sqrt(lower * upper)
+    return [mid] + _bisection_tree(lower, mid, levels - 1) + _bisection_tree(mid, upper, levels - 1)
 
 
 def estimate_threshold(
@@ -258,11 +366,17 @@ def estimate_threshold(
     and h0 < half of min{pi*sqrt(d2), critical length}: otherwise
     spreading is unconditional and no threshold exists.  A geometric scan
     locates Vanishing and Spreading scales, then bisection in log scale
-    tightens the bracket, one probe at its geometric midpoint per round,
-    until upper/lower <= 1.5 or a probe comes back Undecided.  Every run
-    ends under make_dichotomy_stop and is judged by classify, whose
-    plateau rule has fixed tolerances.  Verdicts are not guaranteed
-    monotone in s; monotone_flag reports what the scan actually saw.
+    tightens the bracket at its geometric midpoint until upper/lower <=
+    1.5 or a probe comes back Undecided.  On one CPU each round probes
+    that midpoint alone.  On more than one, where child processes start
+    by fork (_scan_cpus), the grid and each round are dealt to children by
+    _classify_at_scales, and each round probes the up to 7 midpoints of
+    the next three bisection levels at once; the bisection walks them,
+    and the probes it does not visit are dropped, so the bracket, scanned
+    and monotone_flag are those of one probe per round.  Every run ends under
+    make_dichotomy_stop and is judged by classify, whose plateau rule has
+    fixed tolerances.  Verdicts are not guaranteed monotone in s;
+    monotone_flag reports what the scan actually saw.
     """
     ctrl = ctrl or ScanControl()
     mu_hat, rho_hat = ray
@@ -282,8 +396,9 @@ def estimate_threshold(
             "spreading happens for every budget"
         )
 
+    cpus = _scan_cpus()
     scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points).tolist()
-    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl)))
+    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl, cpus)))
 
     def verdicts():
         return sorted(records.items())
@@ -312,11 +427,16 @@ def estimate_threshold(
     upper = min(ss for ss in spreading if ss > lower)
 
     # each verdict halves log(upper/lower), so a bracket of doubles reaches
-    # _SCAN_RATIO_TOL within 12 rounds
+    # _SCAN_RATIO_TOL within 12 verdicts; a round probes the tree below the
+    # bracket, and only the probes this walk visits are recorded
+    levels = _SCAN_LEVELS if cpus > 1 else 1
+    probed: dict = {}
     while upper / lower > _SCAN_RATIO_TOL:
         mid = math.sqrt(lower * upper)
-        (verdict,) = _classify_at_scales(p, init, k, [mid], ray, ctrl)
-        records[mid] = verdict
+        if mid not in probed:
+            tree = _bisection_tree(lower, upper, levels)
+            probed = dict(zip(tree, _classify_at_scales(p, init, k, tree, ray, ctrl, cpus)))
+        verdict = records[mid] = probed[mid]
         if verdict == VANISHING:
             lower = mid
         elif verdict == SPREADING:
@@ -396,56 +516,6 @@ def _sweep_batch(cells: list) -> list[dict]:
     return rows
 
 
-def _sweep_child(conn, cells: list) -> None:
-    """Body of a sweep child process: sends the batch's rows, or the
-    exception that ended it, over conn."""
-    try:
-        res = _sweep_batch(cells)
-    except Exception as exc:  # the parent raises it
-        res = exc
-    with conn:
-        conn.send(res)
-
-
-def _fan_out(batches: list) -> list:
-    """Each batch's rows, in order: the first batch run in this process,
-    each other one in a child process that sends its rows back over a
-    one-way pipe.  A child that dies raises RuntimeError naming its exit
-    code."""
-    if len(batches) > 1:
-        # imported here: nothing but a sweep with a second batch needs it
-        import multiprocessing
-
-    children = []
-    try:
-        for cells in batches[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_sweep_child, args=(send, cells))
-            children.append((child, recv))
-            with send:  # closed here once the child holds it, so recv() ends if the child dies
-                child.start()
-        out = [_sweep_batch(batches[0])]
-        for child, recv in children:
-            # read before join: a child blocks in send until its rows are read
-            try:
-                res = recv.recv()
-            except EOFError:  # the child died before it sent anything
-                child.join()
-                raise RuntimeError(f"sweep child process exited with code {child.exitcode}") from None
-            child.join()
-            if isinstance(res, Exception):
-                raise res
-            out.append(res)
-        return out
-    finally:
-        for child, recv in children:
-            if child.is_alive():  # a failure ended the sweep before its rows were read
-                child.terminate()
-            if child.pid is not None:  # started
-                child.join()
-            recv.close()
-
-
 def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
     top of cfg.  Cells are expanded row-major in SWEEP_AXES order and dealt
@@ -465,6 +535,6 @@ def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
     ]
     batches = min(workers, len(cells))
     rows = [None] * len(cells)
-    for i, part in enumerate(_fan_out([cells[j::batches] for j in range(batches)])):
+    for i, part in enumerate(_fan_out(_sweep_batch, [cells[j::batches] for j in range(batches)])):
         rows[i::batches] = part
     return PhaseTable(columns=PHASE_COLUMNS, rows=rows)

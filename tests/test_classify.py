@@ -297,13 +297,13 @@ def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
     assert calls == [(1, None)]  # one dt = auto attempt
 
 
-def _fake_scan(monkeypatch, grid_verdicts, probe_verdict) -> list:
+def _fake_scan(monkeypatch, grid_verdicts, probe_verdict, cpus=None) -> list:
     """Give estimate_threshold made-up verdicts: grid_verdicts for its grid,
-    then probe_verdict(s) for each bisection probe s.  Returns the list of
-    scale lists it asks for, the grid first."""
+    then probe_verdict(s) for each bisection probe s, on cpus CPUs if given.
+    Returns the list of scale lists it asks for, the grid first."""
     calls = []
 
-    def fake(p, init, k, scales, ray, ctrl):
+    def fake(p, init, k, scales, ray, ctrl, cpus=1):
         calls.append(list(scales))
         if len(calls) == 1:
             assert len(scales) == len(grid_verdicts)
@@ -311,35 +311,102 @@ def _fake_scan(monkeypatch, grid_verdicts, probe_verdict) -> list:
         return [probe_verdict(s) for s in scales]
 
     monkeypatch.setattr(classify_module, "_classify_at_scales", fake)
+    if cpus is not None:
+        monkeypatch.setattr(classify_module, "_scan_cpus", lambda: cpus)
     return calls
 
 
 _SCAN_INIT = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
 
 
+def _tree(lower: float, upper: float, levels: int) -> set:
+    """The midpoints that levels rounds of log-scale bisection from (lower,
+    upper) can probe, each branch ending once upper/lower <= 1.5."""
+    if levels == 0 or upper / lower <= 1.5:
+        return set()
+    mid = math.sqrt(lower * upper)
+    return {mid} | _tree(lower, mid, levels - 1) | _tree(mid, upper, levels - 1)
+
+
+def _scan_one_and_two_cpus(monkeypatch, probe_verdict, ctrl, bracket):
+    """The [Vanishing, Spreading] grid of ctrl scanned with probe_verdict on
+    one CPU and on two.  Checks that one CPU probes one midpoint a round,
+    that each round on two CPUs probes the three-level bisection tree below
+    the bracket the one-CPU walk holds at that point, and that both return
+    the same estimate.  Returns it, with the probe rounds of each scan."""
+    serial_calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], probe_verdict, cpus=1)
+    serial = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ctrl)
+    assert all(len(scales) == 1 for scales in serial_calls[1:])
+    # the bracket before each one-CPU probe, replayed from its verdicts
+    lower, upper = bracket
+    brackets = []
+    for (mid,) in serial_calls[1:]:
+        assert mid == math.sqrt(lower * upper)
+        brackets.append((lower, upper))
+        verdict = probe_verdict(mid)
+        if verdict == VANISHING:
+            lower = mid
+        elif verdict == SPREADING:
+            upper = mid
+
+    calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], probe_verdict, cpus=2)
+    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ctrl)
+    rounds = calls[1:]
+    assert len(rounds) == math.ceil(len(brackets) / 3)
+    for i, scales in enumerate(rounds):
+        assert len(scales) <= 7 and len(set(scales)) == len(scales)
+        assert set(scales) == _tree(*brackets[3 * i], 3)
+    assert est == serial
+    return est, serial_calls[1:], rounds
+
+
 @pytest.mark.parametrize("threshold", [2e-150, 1e-40, 17.07, 1e100, 5e149])
 def test_scan_refines_the_widest_grid_within_11_rounds(monkeypatch, threshold):
-    # each verdict halves log(upper/lower), from log(1e300) to log(1.5) in 11
-    calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], lambda s: VANISHING if s < threshold else SPREADING)
+    # each verdict halves log(upper/lower), from log(1e300) to log(1.5) in
+    # 11; on more than one CPU a round takes three of them
     ctrl = ScanControl(s_min=1e-150, s_max=1e150, points=2)
-    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ctrl)
+    est, serial_rounds, rounds = _scan_one_and_two_cpus(
+        monkeypatch, lambda s: VANISHING if s < threshold else SPREADING, ctrl, (1e-150, 1e150)
+    )
     assert est.lower < threshold <= est.upper
     assert est.upper / est.lower <= 1.5
-    assert 1 <= len(calls) - 1 <= 11 and all(len(scales) == 1 for scales in calls[1:])
+    assert 1 <= len(serial_rounds) <= 11 and 1 <= len(rounds) <= 4
     assert est.monotone_flag
-    assert len(est.scanned) == len(calls) + 1
+    assert len(est.scanned) == len(serial_rounds) + 2
 
 
 def test_scan_ends_at_an_undecided_probe(monkeypatch):
-    # the first probe narrows the bracket, the second comes back Undecided
-    probes = iter([VANISHING, UNDECIDED])
-    calls = _fake_scan(monkeypatch, [VANISHING, SPREADING], lambda s: next(probes))
-    est = estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ScanControl(s_min=1e-6, s_max=1e3, points=2))
-    first, second = calls[1][0], calls[2][0]
-    assert len(calls) == 3
+    # the first probe narrows the bracket and the second comes back
+    # Undecided; so does the first probe's other child, which the walk
+    # never visits, and it is left out of scanned
+    first = math.sqrt(1e-6 * 1e3)
+    second = math.sqrt(first * 1e3)
+    unvisited = math.sqrt(1e-6 * first)
+    verdicts = {first: VANISHING, second: UNDECIDED, unvisited: UNDECIDED}
+    ctrl = ScanControl(s_min=1e-6, s_max=1e3, points=2)
+    est, serial_rounds, rounds = _scan_one_and_two_cpus(
+        monkeypatch, lambda s: verdicts.get(s, VANISHING), ctrl, (1e-6, 1e3)
+    )
+    assert serial_rounds == [[first], [second]]
+    assert len(rounds) == 1 and unvisited in rounds[0]
     assert (est.lower, est.upper) == (first, 1e3)
     assert est.scanned == [(1e-6, VANISHING), (first, VANISHING), (second, UNDECIDED), (1e3, SPREADING)]
     assert est.monotone_flag  # the Undecided scale lies inside the bracket
+
+
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_scan_estimate_does_not_depend_on_the_cpu_count(monkeypatch, kind, fork_children):
+    # criterion-08 setup with the default scan: one CPU probes one midpoint
+    # a round in this process; two and three deal each round to forked
+    # children
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    estimates = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(classify_module, "_cpus", lambda: cpus)
+        estimates.append(estimate_threshold(_params(kind=kind), init, TENT))
+    assert estimates[0].upper / estimates[0].lower <= 1.5
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_brackets_the_last_vanishing_spreading_pair(monkeypatch):
@@ -475,6 +542,62 @@ def test_sweep_child_exception_is_raised_with_its_type(monkeypatch, fork_childre
     with pytest.raises(SolverFailure, match="child batch of 1 cells"):
         sweep(_sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0), workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_scan_child_exception_is_raised_and_its_solver_failure_is_undecided(monkeypatch, fork_children):
+    parent = os.getpid()
+    real = classify_module._run_classified
+    child_result = []
+
+    def run_classified(jobs, k, ctrl):
+        if os.getpid() == parent:
+            return real(jobs, k, ctrl)
+        return [child_result[0]] * len(jobs)
+
+    monkeypatch.setattr(classify_module, "_run_classified", run_classified)
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    scales = [1e-6, 1e3]  # on 2 CPUs the second runs in the child
+    child_result.append(ValueError("child part"))
+    with pytest.raises(ValueError, match="child part"):
+        classify_module._classify_at_scales(_params(), init, TENT, scales, (0.5, 0.5), ScanControl(), 2)
+    child_result[0] = SolverFailure("u bound breached")
+    got = classify_module._classify_at_scales(_params(), init, TENT, scales, (0.5, 0.5), ScanControl(), 2)
+    assert got == [VANISHING, UNDECIDED]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_scan_under_a_fresh_import_start_method_runs_in_this_process(monkeypatch, method):
+    # children started by spawn or forkserver would have to pickle each
+    # part's jobs, and these initial profiles are lambdas, so on 2 CPUs the
+    # scan must stay in this process and return the one-CPU estimate
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is unavailable")
+    bump = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3).u0
+    init = InitialData(h0=0.3, u0=lambda x: bump(x), v0=lambda x: bump(x))
+    monkeypatch.setattr(classify_module, "_cpus", lambda: 1)
+    one = estimate_threshold(_params(), init, TENT)
+    monkeypatch.setattr(classify_module, "_cpus", lambda: 2)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        assert classify_module._scan_cpus() == 1
+        assert estimate_threshold(_params(), init, TENT) == one
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_cpus_follow_the_default_start_method_without_fixing_it(monkeypatch):
+    monkeypatch.setattr(classify_module, "_cpus", lambda: 2)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(None, force=True)
+    try:
+        default = multiprocessing.get_all_start_methods()[0]
+        assert classify_module._scan_cpus() == (2 if default == "fork" else 1)
+        assert multiprocessing.get_start_method(allow_none=True) is None
+    finally:
+        multiprocessing.set_start_method(before, force=True)
 
 
 def test_sweep_parent_batch_exception_terminates_and_joins_children(monkeypatch, fork_children):

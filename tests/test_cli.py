@@ -495,7 +495,7 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # run, would add to every command's start-up time and memory; LAPACK
     # comes from scipy's compiled wrapper alone, found without importing
     # scipy and not left in sys.modules, and multiprocessing loads only
-    # when a sweep has more than one batch
+    # when a sweep has more than one batch or a scan more than one CPU
     code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
@@ -529,6 +529,43 @@ def test_one_worker_sweep_leaves_multiprocessing_unloaded(tmp_path):
     lines = _fresh_interpreter(code).splitlines()
     assert lines[-2:] == ["0", "[]"]
     assert json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"] == 4
+
+
+def test_one_cpu_scan_leaves_multiprocessing_unloaded(tmp_path):
+    # on one CPU every scan round runs in the calling process
+    cfg = _write(tmp_path, THRESHOLD_CFG)
+    argv = ["threshold", "--config", cfg, "--out-dir", str(tmp_path / "o")]
+    code = (
+        "import sys\n"
+        "from frontlab.cli import main\n"
+        "sys.modules['frontlab.classify']._cpus = lambda: 1\n"
+        f"print(main({argv!r}))\n"
+        "print([m for m in sys.modules if m.startswith('multiprocessing')])\n"
+    )
+    lines = _fresh_interpreter(code).splitlines()
+    assert lines[-2:] == ["0", "[]"]
+    assert json.loads((tmp_path / "o" / "threshold.json").read_text())["upper"] > 0.0
+
+
+def test_spawn_scan_on_two_cpus_writes_the_one_cpu_threshold_json(tmp_path):
+    # a spawned child would need each part's jobs pickled, and the cosine
+    # profiles are closures; under spawn a scan on two CPUs starts no child
+    # and writes the one-CPU scan's bytes
+    cfg = _write(tmp_path, THRESHOLD_CFG)
+    outs = {cpus: str(tmp_path / f"cpus{cpus}") for cpus in (1, 2)}
+    code = (
+        "import multiprocessing, sys\n"
+        "from frontlab.cli import main\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "codes = []\n"
+        f"for cpus, out in {sorted(outs.items())!r}:\n"
+        "    sys.modules['frontlab.classify']._cpus = lambda: cpus\n"
+        f"    codes.append(main(['threshold', '--config', {cfg!r}, '--out-dir', out]))\n"
+        "print(codes, multiprocessing.get_start_method(), multiprocessing.active_children())\n"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0] spawn []"
+    one, two = ((tmp_path / f"cpus{cpus}" / "threshold.json").read_bytes() for cpus in (1, 2))
+    assert two == one
 
 
 def test_spawned_sweep_children_match_one_process():

@@ -25,6 +25,7 @@ from frontlab import (
     run,
     solver,
 )
+from frontlab.eigen import EigenProblem, lambda_p
 from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
 from frontlab.model import field_bounds
 from frontlab.solver import State, auto_dt, initial_state, reference_grid
@@ -840,3 +841,41 @@ def test_long_spreading_run_stays_inside_the_u_bound(kind):
     init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
     traj = run(p, init, TENT, RunControl(horizon=210.0, n=120))
     assert traj.termination == "horizon" and traj.t[-1] == 210.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the spacing outgrows the kernel radius near t = 100 and the run "
+    "breaches k1 at t = 125.14 instead of regridding or naming the resolution",
+)
+def test_under_resolved_kernel_regrids_or_names_the_resolution():
+    p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=2.0, rho=2.0)
+    init = InitialData.cosine(h0=2.0, amp_u=0.3, amp_v=0.3)
+    try:
+        traj = run(p, init, TENT, RunControl(horizon=130.0, n=100))
+    except SolverFailure as exc:
+        assert "spacing" in str(exc) and "radius" in str(exc), str(exc)
+    else:
+        assert traj.termination == "horizon" and traj.t[-1] == 130.0
+        assert traj.sup_u.max() <= field_bounds(p, 0.3, 0.3).k1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: the end nodes hold u = 0, so a stalled habitat acts one node "
+    "spacing short and sup u decays 3.07e-3 faster than lambda_p(L) at n = 120",
+)
+def test_stalled_habitat_decays_at_its_principal_eigenvalue():
+    # criterion-08 setup at s = 1, which vanishes: once v has died out, u
+    # solves the linear nonlocal equation on a fixed habitat, whose decay
+    # rate is lambda_p of that habitat
+    p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.5, b=0.5, c=0.5, mu=0.5, rho=0.5)
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    for n in (120, 240):
+        traj = run(p, init, TENT, RunControl(horizon=800.0, n=n, record_every=1))
+        late = traj.t >= 400.0
+        rate = np.polyfit(traj.t[late], np.log(traj.sup_u[late]), 1)[0]
+        prob = EigenProblem(d=p.d1, theta0=p.a, ell1=float(traj.g[-1]), ell2=float(traj.h[-1]), n=2001, kernel=TENT)
+        assert abs(rate - lambda_p(prob).lambda_p) < 1e-4, (n, rate)
