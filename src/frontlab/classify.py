@@ -21,7 +21,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import TYPE_CHECKING, Optional
 
@@ -225,24 +225,64 @@ def _run_classified(jobs: list, k: Kernel, ctrl: RunControl) -> list:
     return out
 
 
+# the root /proc and /sys are read under
+_ROOT = "/"
+
+
+def _read(path: str) -> str:
+    """A file's text, empty where it cannot be read."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def _cgroup_quota(directory: str, v2: bool) -> float:
+    """ceil(quota/period) of the CPU quota set on one cgroup directory: v2
+    cpu.max ('max' for none) or v1 cpu.cfs_quota_us over cpu.cfs_period_us
+    (-1 for none); inf where none is set or a file is missing or unreadable."""
+    if v2:
+        words = _read(os.path.join(directory, "cpu.max")).split()
+    else:
+        words = _read(os.path.join(directory, "cpu.cfs_quota_us")).split()
+        words += _read(os.path.join(directory, "cpu.cfs_period_us")).split()
+    try:
+        quota, period = map(int, words)
+    except ValueError:  # 'max', or not two numbers
+        return math.inf
+    return -(-quota // period) if quota > 0 and period > 0 else math.inf
+
+
 def _cpus() -> int:
-    """The number of CPUs this process may run on, by its affinity; a
-    cgroup CPU quota is not counted."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The number of CPUs this process may run on: its affinity count, or
+    the CPU count where affinity is unknown, capped by the tightest CPU
+    quota on its cgroup or an ancestor, in each hierarchy that
+    /proc/self/cgroup names."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    base = os.path.join(_ROOT, "sys", "fs", "cgroup")
+    for line in _read(os.path.join(_ROOT, "proc", "self", "cgroup")).splitlines():
+        # hierarchy-id:controllers:path, the controllers empty on v2
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        top = os.path.join(base, controllers) if controllers else base
+        names = [name for name in path.split("/") if name]
+        for depth in range(len(names), -1, -1):
+            cpus = min(cpus, _cgroup_quota(os.path.join(top, *names[:depth]), not controllers))
+    return cpus
 
 
-def _scan_cpus() -> int:
-    """The CPUs a threshold scan spreads its rounds over: _cpus() where
-    child processes start by fork, otherwise 1.  A child started by spawn
-    or forkserver imports numpy and frontlab afresh, which costs more than
-    the round it shares, and its jobs, initial profiles included, would
-    have to pickle."""
+def _fork_cpus() -> int:
+    """The parts a threshold scan, or a sweep without a worker count,
+    fans out to: _cpus() where child processes start by fork, otherwise 1.
+    A child started by spawn or forkserver imports numpy and frontlab
+    afresh, which costs more than a scan round it shares, and its jobs,
+    initial profiles included, would have to pickle."""
     cpus = _cpus()
     if cpus == 1:
         return 1
-    # imported here: on one CPU a scan starts no child
+    # imported here: on one CPU nothing starts a child
     import multiprocessing
 
     # the default start method, without fixing it for the caller
@@ -250,39 +290,44 @@ def _scan_cpus() -> int:
     return cpus if method == "fork" else 1
 
 
-def _child(conn, fn, batch) -> None:
-    """Body of a fan-out child process: sends fn(batch), or the exception
+def _child(conn, fn, part) -> None:
+    """Body of a fan-out child process: sends fn(part), or the exception
     that ended it, over conn."""
     try:
-        res = fn(batch)
+        res = fn(part)
     except Exception as exc:  # the parent raises it
         res = exc
     with conn:
         conn.send(res)
 
 
-def _fan_out(fn, batches: list) -> list:
-    """fn(batch) for each batch, in order: the first batch run in this
-    process, each other one in a child process, started by
-    multiprocessing's default start method, that sends its result back
-    over a one-way pipe.  Under spawn, fn and the batches must pickle.  An
-    exception that ends a child's batch is raised here, and a child that
+def _fan_out(fn, items: list, parts: int) -> list:
+    """The per-item results of fn over items, in item order.  items are
+    dealt round-robin into max(1, min(parts, len(items))) parts, and
+    fn(part) returns one result per item of its part: the first part runs
+    in this process, each other one in a child process, started by
+    multiprocessing's default start method, that sends its results back
+    over a one-way pipe.  Under spawn, fn and the items must pickle.  An
+    exception that ends a child's part is raised here, and a child that
     dies raises RuntimeError naming its exit code.  Every child is joined
     before this returns or raises."""
-    if len(batches) > 1:
-        # imported here: nothing but a second batch needs it
+    parts = max(1, min(parts, len(items)))
+    dealt = [items[j::parts] for j in range(parts)]
+    if parts > 1:
+        # imported here: nothing but a second part needs it
         import multiprocessing
 
     children = []
     try:
-        for batch in batches[1:]:
+        for part in dealt[1:]:
             recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_child, args=(send, fn, batch))
+            child = multiprocessing.Process(target=_child, args=(send, fn, part))
             children.append((child, recv))
             with send:  # closed here once the child holds it, so recv() ends if the child dies
                 child.start()
-        out = [fn(batches[0])]
-        for child, recv in children:
+        out = [None] * len(items)
+        out[0::parts] = fn(dealt[0])
+        for j, (child, recv) in enumerate(children, 1):
             # read before join: a child blocks in send until its result is read
             try:
                 res = recv.recv()
@@ -292,7 +337,7 @@ def _fan_out(fn, batches: list) -> list:
             child.join()
             if isinstance(res, Exception):
                 raise res
-            out.append(res)
+            out[j::parts] = res
         return out
     finally:
         for child, recv in children:
@@ -303,11 +348,10 @@ def _fan_out(fn, batches: list) -> list:
             recv.close()
 
 
-def _scan_part(part: tuple) -> list[str]:
-    """One part of a scan round, (kernel, RunControl, jobs), run as one
-    batch: the verdict of each job, Undecided where a SolverFailure ended
-    it.  Any other exception is raised."""
-    k, rc, jobs = part
+def _scan_part(k: Kernel, rc: RunControl, jobs: list) -> list[str]:
+    """One part of a scan round run as one batch: the verdict of each job,
+    Undecided where a SolverFailure ended it.  Any other exception is
+    raised."""
     verdicts = []
     for res in _run_classified(jobs, k, rc):
         if isinstance(res, SolverFailure):
@@ -329,17 +373,13 @@ def _classify_at_scales(
     cpus: int = 1,
 ) -> list[str]:
     """The verdict at each budget scale; a SolverFailure makes its scale
-    Undecided.  The scales are dealt round-robin into min(cpus, scales)
-    parts, each run as one batch by _fan_out: the first in this process,
-    each other one in a child process.  Each verdict is the one its scale
-    gets alone, so the split does not change it."""
+    Undecided.  _fan_out deals the scales into up to cpus parts, each run
+    as one batch: the first in this process, each other one in a child
+    process.  Each verdict is the one its scale gets alone, so the split
+    does not change it."""
     rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
     jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
-    parts = max(1, min(cpus, len(jobs)))  # one part, run here, for no scales
-    verdicts = [None] * len(jobs)
-    for i, part in enumerate(_fan_out(_scan_part, [(k, rc, jobs[j::parts]) for j in range(parts)])):
-        verdicts[i::parts] = part
-    return verdicts
+    return _fan_out(partial(_scan_part, k, rc), jobs, cpus)
 
 
 def _bisection_tree(lower: float, upper: float, levels: int) -> list[float]:
@@ -369,7 +409,7 @@ def estimate_threshold(
     tightens the bracket at its geometric midpoint until upper/lower <=
     1.5 or a probe comes back Undecided.  On one CPU each round probes
     that midpoint alone.  On more than one, where child processes start
-    by fork (_scan_cpus), the grid and each round are dealt to children by
+    by fork (_fork_cpus), the grid and each round are dealt to children by
     _classify_at_scales, and each round probes the up to 7 midpoints of
     the next three bisection levels at once; the bisection walks them,
     and the probes it does not visit are dropped, so the bracket, scanned
@@ -396,7 +436,7 @@ def estimate_threshold(
             "spreading happens for every budget"
         )
 
-    cpus = _scan_cpus()
+    cpus = _fork_cpus()
     scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points).tolist()
     records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl, cpus)))
 
@@ -516,25 +556,25 @@ def _sweep_batch(cells: list) -> list[dict]:
     return rows
 
 
-def sweep(cfg: RunConfig, workers: int = 1) -> PhaseTable:
+def sweep(cfg: RunConfig, workers: Optional[int] = None) -> PhaseTable:
     """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
     top of cfg.  Cells are expanded row-major in SWEEP_AXES order and dealt
-    round-robin into min(workers, cells) batches, so workers counts the
+    by _fan_out into min(workers, cells) batches, so workers counts the
     processes doing work: the first batch runs in this process, each other
     batch in a child process of its own, started by multiprocessing's
-    default start method.  An exception that ends a child's batch is raised
-    here, and every child is joined before sweep returns or raises.  The
-    output keeps the row-major order, and each row is bit-identical, no
-    matter how many workers run or in what order they finish."""
-    if workers < 1:
+    default start method.  workers defaults to _fork_cpus(), the CPUs this
+    process may use where children start by fork and 1 otherwise.  An
+    exception that ends a child's batch is raised here, and every child is
+    joined before sweep returns or raises.  The output keeps the row-major
+    order, and each row is bit-identical, no matter how many workers run
+    or in what order they finish."""
+    if workers is None:
+        workers = _fork_cpus()
+    elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
     cells = [
         (cfg, dict(zip(names, combo)))
         for combo in product(*(cfg.sweep_axes[name] for name in names))
     ]
-    batches = min(workers, len(cells))
-    rows = [None] * len(cells)
-    for i, part in enumerate(_fan_out(_sweep_batch, [cells[j::batches] for j in range(batches)])):
-        rows[i::batches] = part
-    return PhaseTable(columns=PHASE_COLUMNS, rows=rows)
+    return PhaseTable(columns=PHASE_COLUMNS, rows=_fan_out(_sweep_batch, cells, workers))

@@ -80,8 +80,9 @@ def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), mess
 
 def _emit_flag(args, name: str, record: dict) -> int:
     """A flag command's tail: the record to name in the output directory, and on stdout."""
-    write_json(os.path.join(_resolve_outdir(args), name), record)
-    sys.stdout.write(dumps_json(record))
+    text = dumps_json(record)
+    atomic_write_text(os.path.join(_resolve_outdir(args), name), text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -170,8 +171,7 @@ def cmd_sweep(args) -> int:
     cfg, outdir = _load(args)
     if not cfg.sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<axis> key in the config")
-    workers = args.workers if args.workers is not None else cfg.sweep_workers
-    table = sweep(cfg, workers=workers)
+    table = sweep(cfg, workers=args.workers)
     written = _emit_csv(outdir, cfg, "phase_table.csv", lambda: phase_csv(table))
     verdicts = [row["verdict"] for row in table.rows]
     summary = {
@@ -270,7 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_cmd("classify", cmd_classify, "simulate, then report a spreading/vanishing verdict")
     add_config_cmd("threshold", cmd_threshold, "bracket the front-budget threshold along a ray")
     sweep_cmd = add_config_cmd("sweep", cmd_sweep, "classify every cell of a parameter grid")
-    sweep_cmd.add_argument("--workers", type=int, default=None, help="parallel worker count override")
+    sweep_cmd.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (default: the usable CPUs where children start by fork, else 1)",
+    )
     add_config_cmd(
         "supersolution-check",
         cmd_supersolution_check,

@@ -153,7 +153,6 @@ _SCHEMA = {
     "sweep.mu": (_parse_float_list, None),
     "sweep.rho": (_parse_float_list, None),
     "sweep.kind": (_parse_kind_list, None),
-    "sweep.workers": (_parse_int(1), 1),
     "output.directory": (_parse_str, "."),
     "output.formats": (_parse_formats, "csv,json"),
 }
@@ -188,7 +187,6 @@ class RunConfig:
     ray: tuple[float, float]
     h1: Optional[float]
     sweep_axes: dict
-    sweep_workers: int
     out_dir: str
     formats: str
     resolved: dict  # every schema key with defaults applied; echoed to JSON
@@ -253,7 +251,6 @@ def parse_config(text: str) -> RunConfig:
         ray=(resolved["threshold.ray_mu"], resolved["threshold.ray_rho"]),
         h1=resolved["supersolution.h1"],
         sweep_axes=sweep_axes,
-        sweep_workers=resolved["sweep.workers"],
         out_dir=resolved["output.directory"],
         formats=resolved["output.formats"],
         resolved=resolved,

@@ -312,7 +312,7 @@ def _fake_scan(monkeypatch, grid_verdicts, probe_verdict, cpus=None) -> list:
 
     monkeypatch.setattr(classify_module, "_classify_at_scales", fake)
     if cpus is not None:
-        monkeypatch.setattr(classify_module, "_scan_cpus", lambda: cpus)
+        monkeypatch.setattr(classify_module, "_fork_cpus", lambda: cpus)
     return calls
 
 
@@ -581,23 +581,101 @@ def test_scan_under_a_fresh_import_start_method_runs_in_this_process(monkeypatch
     before = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(method, force=True)
     try:
-        assert classify_module._scan_cpus() == 1
+        assert classify_module._fork_cpus() == 1
         assert estimate_threshold(_params(), init, TENT) == one
     finally:
         multiprocessing.set_start_method(before, force=True)
     assert multiprocessing.active_children() == []
 
 
-def test_scan_cpus_follow_the_default_start_method_without_fixing_it(monkeypatch):
+def test_fork_cpus_follow_the_default_start_method_without_fixing_it(monkeypatch):
     monkeypatch.setattr(classify_module, "_cpus", lambda: 2)
     before = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(None, force=True)
     try:
         default = multiprocessing.get_all_start_methods()[0]
-        assert classify_module._scan_cpus() == (2 if default == "fork" else 1)
+        assert classify_module._fork_cpus() == (2 if default == "fork" else 1)
         assert multiprocessing.get_start_method(allow_none=True) is None
     finally:
         multiprocessing.set_start_method(before, force=True)
+
+
+def test_fan_out_returns_uneven_parts_in_item_order(monkeypatch, fork_children):
+    # 5 items in 3 parts: items 0 and 3 here, 1 and 4 in one child, 2 in another
+    started = _record_starts(monkeypatch)
+    got = classify_module._fan_out(lambda part: [(item, os.getpid()) for item in part], list(range(5)), 3)
+    assert [item for item, _ in got] == list(range(5))
+    pids = [pid for _, pid in got]
+    assert pids[0] == pids[3] == os.getpid()
+    assert pids[1] == pids[4] == started[0].pid and pids[2] == started[1].pid
+    assert multiprocessing.active_children() == []
+    # no items: one empty part, run in this process
+    calls = []
+    assert classify_module._fan_out(lambda part: calls.append(os.getpid()) or part, [], 3) == []
+    assert calls == [os.getpid()] and len(started) == 2
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_sweep_without_workers_fans_out_over_the_cpus_only_under_fork(monkeypatch, method):
+    # without a worker count a sweep takes _fork_cpus(): here 3 CPUs under
+    # fork, 1 under spawn and forkserver, where 2 workers still start a child
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is unavailable")
+    monkeypatch.setattr(classify_module, "_cpus", lambda: 3)
+    started = _record_starts(monkeypatch)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        for axes, cells in (("sweep.mu = 1e-6, 10.0\n", 2), ("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", 4)):
+            started.clear()
+            assert len(sweep(_sweep_config(axes, horizon=5.0)).rows) == cells
+            assert len(started) == (min(3, cells) - 1 if method == "fork" else 0)
+            assert multiprocessing.active_children() == []
+        if method != "fork":
+            started.clear()
+            sweep(_sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0), workers=2)
+            assert len(started) == 1
+            assert multiprocessing.active_children() == []
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+
+
+def _cgroup_tree(root, lines: str, files: dict) -> None:
+    """A fake /proc/self/cgroup holding lines, and files, {path under
+    /sys/fs/cgroup: text}, under root."""
+    (root / "proc" / "self").mkdir(parents=True)
+    (root / "proc" / "self" / "cgroup").write_text(lines)
+    for path, text in files.items():
+        (root / "sys" / "fs" / "cgroup" / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / "sys" / "fs" / "cgroup" / path).write_text(text)
+
+
+@pytest.mark.parametrize(
+    "lines, files, cpus",
+    [
+        ("0::/a\n", {"a/cpu.max": "150000 100000\n"}, 2),
+        ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n", "a/cpu.max": "50000 100000\n"}, 1),
+        ("0::/a\n", {"a/cpu.max": "max 100000\n"}, 8),
+        (
+            "4:memory:/a\n3:cpu,cpuacct:/a\n0::/\n",
+            {"cpu,cpuacct/a/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/a/cpu.cfs_period_us": "100000\n"},
+            8,
+        ),
+        (
+            "3:cpu,cpuacct:/a\n",
+            {"cpu,cpuacct/cpu.cfs_quota_us": "300000\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"},
+            3,
+        ),
+        ("0::/a\n", {}, 8),  # no cpu.max: no quota
+    ],
+    ids=["v2", "v2-ancestor", "v2-max", "v1-unlimited", "v1-ancestor", "v2-missing"],
+)
+def test_cpus_are_capped_by_the_cgroup_quota(monkeypatch, tmp_path, lines, files, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(classify_module, "_ROOT", str(tmp_path))
+    assert classify_module._cpus() == 8  # no /proc/self/cgroup: no quota
+    _cgroup_tree(tmp_path, lines, files)
+    assert classify_module._cpus() == cpus
 
 
 def test_sweep_parent_batch_exception_terminates_and_joins_children(monkeypatch, fork_children):

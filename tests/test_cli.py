@@ -232,6 +232,15 @@ def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not (out / "phase_table.csv").exists()
 
 
+def test_sweep_without_workers_writes_the_one_worker_table(tmp_path):
+    cfg = _write(tmp_path, BASE + "sweep.a = 0.5, 1.0\nsweep.mu = 0.001, 1.0\n")
+    for out, flags in (("default", []), ("one", ["--workers", "1"])):
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / out), *flags]) == EXIT_OK
+    assert (tmp_path / "default" / "phase_table.csv").read_bytes() == (tmp_path / "one" / "phase_table.csv").read_bytes()
+    record = json.loads((tmp_path / "default" / "sweep_summary.json").read_text())
+    assert "sweep.workers" not in record["config"]
+
+
 def test_sweep_without_axes_is_config_error(tmp_path):
     cfg = _write(tmp_path, BASE)
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -300,6 +309,7 @@ def test_unknown_key_exit_code(tmp_path):
         "classify.eigen_slack",
         "classify.window_fraction",
         "threshold.max_bisect",
+        "sweep.workers",
     ],
 )
 def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):
