@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 configuration or usage errors, 3 solver or
 convergence failures, 4 inconclusive outcomes, 5 parameter-regime
 errors, 1 anything unexpected.  Errors are also written as a one-line
-JSON record to stderr.  The output directory comes from --out-dir, then
-the FRONTLAB_OUTDIR environment variable, then the config.  A config
-command writes its JSON record when output.formats includes json or when
-it has no other artifact; eigen and critical-length always write theirs.
+JSON record to stderr.  Every command writes into --out-dir, created if
+missing; it defaults to the working directory, and nothing else sets it.
+A config command writes its JSON record when output.formats includes
+json or when it has no other artifact; eigen and critical-length always
+write theirs.
 """
 
 from __future__ import annotations
@@ -44,24 +45,17 @@ EXIT_INCONCLUSIVE = 4
 EXIT_REGIME = 5
 
 
-def _resolve_outdir(args, cfg: RunConfig | None = None) -> str:
-    outdir = (
-        getattr(args, "out_dir", None)
-        or os.environ.get("FRONTLAB_OUTDIR")
-        or (cfg.out_dir if cfg is not None else ".")
-    )
+def _out_dir(args) -> str:
+    """The --out-dir directory, created; an empty one is the working directory."""
+    outdir = args.out_dir or "."
     os.makedirs(outdir, exist_ok=True)
     return outdir
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return {key: cfg.resolved[key] for key in sorted(cfg.resolved)}
 
 
 def _load(args) -> tuple[RunConfig, str]:
     """A config command's config and its output directory, created."""
     cfg = load_config(args.config)
-    return cfg, _resolve_outdir(args, cfg)
+    return cfg, _out_dir(args)
 
 
 def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), message=None) -> int:
@@ -70,7 +64,7 @@ def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), mess
     message line, if any, and one 'wrote' line per file, in write order."""
     if "json" in cfg.formats or not written:
         written = [*written, os.path.join(outdir, name)]
-        write_json(written[-1], {**record, "config": _config_echo(cfg)})
+        write_json(written[-1], {**record, "config": dict(sorted(cfg.resolved.items()))})
     if message is not None:
         print(message)
     for path in written:
@@ -81,7 +75,7 @@ def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), mess
 def _emit_flag(args, name: str, record: dict) -> int:
     """A flag command's tail: the record to name in the output directory, and on stdout."""
     text = dumps_json(record)
-    atomic_write_text(os.path.join(_resolve_outdir(args), name), text)
+    atomic_write_text(os.path.join(_out_dir(args), name), text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -259,10 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out_dir(cmd):
+        cmd.add_argument("--out-dir", default=".", help="output directory, created if missing (default: .)")
+
     def add_config_cmd(name, func, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a run configuration file")
-        cmd.add_argument("--out-dir", default=None, help="output directory override")
+        add_out_dir(cmd)
         cmd.set_defaults(func=func)
         return cmd
 
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--n", type=int, default=None)
     eig.add_argument("--family", default="tent")
     eig.add_argument("--radius", type=float, default=1.0)
-    eig.add_argument("--out-dir", default=None)
+    add_out_dir(eig)
     eig.set_defaults(func=cmd_eigen)
 
     crit = sub.add_parser("critical-length", help="length at which the eigenvalue crosses zero")
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--tol", type=float, default=1e-4)
     crit.add_argument("--family", default="tent")
     crit.add_argument("--radius", type=float, default=1.0)
-    crit.add_argument("--out-dir", default=None)
+    add_out_dir(crit)
     crit.set_defaults(func=cmd_critical_length)
 
     return parser

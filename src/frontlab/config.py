@@ -10,6 +10,10 @@ summary so a run can be reproduced from its own output.
     model.d1 = 1.0
     ...
     init.h0 = 2.0
+
+A value is a finite number (`auto` where a key allows it), a
+comma-separated list, a name from a fixed set, or the output formats.
+Where the outputs go is not a key: the CLI's `--out-dir` sets it.
 """
 
 from __future__ import annotations
@@ -23,50 +27,47 @@ from .classify import SWEEP_AXES, ScanControl
 from .errors import ConfigError
 from .kernels import KNOWN_FAMILIES, Kernel, make_kernel
 from .model import KINDS, InitialData, ModelParams
+from .output import fmt_float
 from .solver import RunControl
 
 
-def _parse_float(raw: str) -> float:
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
-    if not math.isfinite(val):
-        raise ValueError(f"must be finite, got {raw}")
-    return val
+def _number(cast, minimum=None, strict=False):
+    """A parser of finite numbers of type cast: at least minimum, or above it when strict."""
+    noun = "an integer" if cast is int else "a number"
 
-
-def _parse_pos_float(raw: str) -> float:
-    val = _parse_float(raw)
-    if not (val > 0):
-        raise ValueError(f"must be > 0, got {raw}")
-    return val
-
-
-def _parse_nonneg_float(raw: str) -> float:
-    val = _parse_float(raw)
-    if val < 0:
-        raise ValueError(f"must be >= 0, got {raw}")
-    return val
-
-
-def _parse_int(minimum: int):
-    def parse(raw: str) -> int:
+    def parse(raw: str):
         try:
-            val = int(raw)
+            val = cast(raw)
         except ValueError:
-            raise ValueError(f"not an integer: {raw!r}") from None
-        if val < minimum:
-            raise ValueError(f"must be >= {minimum}, got {val}")
+            raise ValueError(f"not {noun}: {raw!r}") from None
+        if cast is float and not math.isfinite(val):
+            raise ValueError(f"must be finite, got {raw}")
+        if minimum is not None and (val <= minimum if strict else val < minimum):
+            shown = val if cast is int else raw  # an integer as parsed, a float as written
+            raise ValueError(f"must be {'>' if strict else '>='} {minimum}, got {shown}")
         return val
 
     return parse
 
 
-def _parse_pos_float_or_auto(raw: str) -> Optional[float]:
-    if raw == "auto":
-        return None
-    return _parse_pos_float(raw)
+_positive = _number(float, 0, strict=True)
+
+
+def _or_auto(parse):
+    """parse, with the word auto for None."""
+    return lambda raw: None if raw == "auto" else parse(raw)
+
+
+def _list(parse):
+    """A parser of a non-empty comma-separated list, each item by parse."""
+
+    def parse_list(raw: str) -> list:
+        toks = [tok.strip() for tok in raw.split(",") if tok.strip()]
+        if not toks:
+            raise ValueError("empty list")
+        return [parse(tok) for tok in toks]
+
+    return parse_list
 
 
 def _parse_choice(options: tuple):
@@ -78,33 +79,12 @@ def _parse_choice(options: tuple):
     return parse
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    toks = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not toks:
-        raise ValueError("empty list")
-    return [_parse_float(tok) for tok in toks]
-
-
-def _parse_kind_list(raw: str) -> list[str]:
-    toks = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not toks:
-        raise ValueError("empty list")
-    bad = [tok for tok in toks if tok not in KINDS]
-    if bad:
-        raise ValueError(f"unknown kind(s) {', '.join(bad)}; allowed: {', '.join(KINDS)}")
-    return toks
-
-
 def _parse_formats(raw: str) -> str:
     toks = {tok.strip() for tok in raw.split(",") if tok.strip()}
     bad = toks - {"csv", "json"}
     if bad or not toks:
         raise ValueError(f"formats must be a subset of csv,json; got {raw!r}")
     return ",".join(sorted(toks))
-
-
-def _parse_str(raw: str) -> str:
-    return raw
 
 
 _REQUIRED = object()
@@ -121,39 +101,38 @@ _SECTIONS = {
 # _FIELD the keys that take the default of the dataclass field they fill
 _SCHEMA = {
     "kernel.family": (_parse_choice(KNOWN_FAMILIES), "tent"),
-    "kernel.radius": (_parse_pos_float, 1.0),
+    "kernel.radius": (_positive, 1.0),
     "model.kind": (_parse_choice(KINDS), _REQUIRED),
-    "model.d1": (_parse_pos_float, _REQUIRED),
-    "model.d2": (_parse_pos_float, _REQUIRED),
-    "model.a": (_parse_pos_float, _REQUIRED),
-    "model.b": (_parse_pos_float, _REQUIRED),
-    "model.c": (_parse_pos_float, _REQUIRED),
-    "model.mu": (_parse_pos_float, _REQUIRED),
-    "model.rho": (_parse_pos_float, _REQUIRED),
-    "init.h0": (_parse_pos_float, _REQUIRED),
-    "init.amp_u": (_parse_pos_float, 0.1),
-    "init.amp_v": (_parse_pos_float, 0.1),
-    "numerics.n": (_parse_int(8), _FIELD),
-    "numerics.dt": (_parse_pos_float_or_auto, _FIELD),
-    "numerics.horizon": (_parse_pos_float, 100.0),
-    "numerics.record_every": (_parse_int(1), _FIELD),
-    "numerics.snapshot_every": (_parse_int(0), _FIELD),
-    "threshold.ray_mu": (_parse_nonneg_float, 0.5),
-    "threshold.ray_rho": (_parse_nonneg_float, 0.5),
-    "threshold.s_min": (_parse_pos_float, _FIELD),
-    "threshold.s_max": (_parse_pos_float, _FIELD),
-    "threshold.points": (_parse_int(2), _FIELD),
-    "threshold.horizon": (_parse_pos_float, _FIELD),
-    "threshold.n": (_parse_int(8), _FIELD),
-    "supersolution.h1": (_parse_pos_float_or_auto, None),
-    "sweep.a": (_parse_float_list, None),
-    "sweep.d1": (_parse_float_list, None),
-    "sweep.d2": (_parse_float_list, None),
-    "sweep.h0": (_parse_float_list, None),
-    "sweep.mu": (_parse_float_list, None),
-    "sweep.rho": (_parse_float_list, None),
-    "sweep.kind": (_parse_kind_list, None),
-    "output.directory": (_parse_str, "."),
+    "model.d1": (_positive, _REQUIRED),
+    "model.d2": (_positive, _REQUIRED),
+    "model.a": (_positive, _REQUIRED),
+    "model.b": (_positive, _REQUIRED),
+    "model.c": (_positive, _REQUIRED),
+    "model.mu": (_positive, _REQUIRED),
+    "model.rho": (_positive, _REQUIRED),
+    "init.h0": (_positive, _REQUIRED),
+    "init.amp_u": (_positive, 0.1),
+    "init.amp_v": (_positive, 0.1),
+    "numerics.n": (_number(int, 8), _FIELD),
+    "numerics.dt": (_or_auto(_positive), _FIELD),
+    "numerics.horizon": (_positive, 100.0),
+    "numerics.record_every": (_number(int, 1), _FIELD),
+    "numerics.snapshot_every": (_number(int, 0), _FIELD),
+    "threshold.ray_mu": (_number(float, 0), 0.5),
+    "threshold.ray_rho": (_number(float, 0), 0.5),
+    "threshold.s_min": (_positive, _FIELD),
+    "threshold.s_max": (_positive, _FIELD),
+    "threshold.points": (_number(int, 2), _FIELD),
+    "threshold.horizon": (_positive, _FIELD),
+    "threshold.n": (_number(int, 8), _FIELD),
+    "supersolution.h1": (_or_auto(_positive), None),
+    "sweep.a": (_list(_number(float)), None),
+    "sweep.d1": (_list(_number(float)), None),
+    "sweep.d2": (_list(_number(float)), None),
+    "sweep.h0": (_list(_number(float)), None),
+    "sweep.mu": (_list(_number(float)), None),
+    "sweep.rho": (_list(_number(float)), None),
+    "sweep.kind": (_list(_parse_choice(KINDS)), None),
     "output.formats": (_parse_formats, "csv,json"),
 }
 
@@ -187,7 +166,6 @@ class RunConfig:
     ray: tuple[float, float]
     h1: Optional[float]
     sweep_axes: dict
-    out_dir: str
     formats: str
     resolved: dict  # every schema key with defaults applied; echoed to JSON
 
@@ -251,7 +229,6 @@ def parse_config(text: str) -> RunConfig:
         ray=(resolved["threshold.ray_mu"], resolved["threshold.ray_rho"]),
         h1=resolved["supersolution.h1"],
         sweep_axes=sweep_axes,
-        out_dir=resolved["output.directory"],
         formats=resolved["output.formats"],
         resolved=resolved,
     )
@@ -260,18 +237,15 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config(text)
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, int):
-        return str(value)
+        return fmt_float(value)
     if isinstance(value, (list, tuple)):
         return ", ".join(_format_value(item) for item in value)
     return str(value)

@@ -34,27 +34,20 @@ def _json_fragment(value, indent: int, out: list) -> None:
         out.append(fmt_float(value) if math.isfinite(value) else "null")
     elif isinstance(value, str):
         out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, dict)):
+        if isinstance(value, dict):
+            brackets, entries = "{}", ((json.dumps(str(key)) + ": ", item) for key, item in value.items())
+        else:
+            brackets, entries = "[]", (("", item) for item in value)
         if not value:
-            out.append("[]")
+            out.append(brackets)
             return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
+        out.append(brackets[0] + "\n")
+        for i, (prefix, item) in enumerate(entries):
+            out.append(pad + "  " + prefix)
             _json_fragment(item, indent + 1, out)
             out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, item) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _json_fragment(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
+        out.append(pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
@@ -77,18 +70,20 @@ def write_json(path: str, value) -> None:
     atomic_write_text(path, dumps_json(value))
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for row in zip(*(getattr(traj, name) for name in TRAJECTORY_COLUMNS)):
-        lines.append(",".join(fmt_float(val) for val in row))
+def _csv(header, rows) -> str:
+    """A CSV table: the header's names, then one line per row, floats to 17 digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt_float(val) if isinstance(val, float) else str(val) for val in row))
     return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    return _csv(TRAJECTORY_COLUMNS, zip(*(getattr(traj, name) for name in TRAJECTORY_COLUMNS)))
 
 
 def snapshot_csv(snap: Snapshot) -> str:
-    lines = ["x,u,v"]
-    for x, u, v in zip(snap.x, snap.u, snap.v):
-        lines.append(f"{fmt_float(x)},{fmt_float(u)},{fmt_float(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv(("x", "u", "v"), zip(snap.x, snap.u, snap.v))
 
 
 def write_snapshots(outdir: str, traj: Trajectory) -> list:
@@ -103,11 +98,4 @@ def write_snapshots(outdir: str, traj: Trajectory) -> list:
 
 
 def phase_csv(table: PhaseTable) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        cells = []
-        for col in table.columns:
-            val = row[col]
-            cells.append(fmt_float(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(table.columns, ([row[col] for col in table.columns] for row in table.rows))

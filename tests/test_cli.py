@@ -92,16 +92,13 @@ def test_summary_config_echo_reproduces_run(tmp_path):
     assert (out / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
-def test_env_var_out_dir(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, BASE)
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("FRONTLAB_OUTDIR", str(env_dir))
+def test_out_dir_defaults_to_the_working_directory(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, BASE + "output.formats = json\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FRONTLAB_OUTDIR", str(tmp_path / "from_env"))  # the environment sets nothing
     assert main(["simulate", "--config", cfg]) == EXIT_OK
-    assert (env_dir / "trajectory.csv").exists()
-    # explicit flag wins over the environment
-    flag_dir = tmp_path / "from_flag"
-    main(["simulate", "--config", cfg, "--out-dir", str(flag_dir)])
-    assert (flag_dir / "trajectory.csv").exists()
+    assert capsys.readouterr().out == f"wrote {os.path.join('.', 'summary.json')}\n"
+    assert (tmp_path / "summary.json").exists() and not (tmp_path / "from_env").exists()
 
 
 def test_formats_filter(tmp_path):
@@ -295,6 +292,15 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE.encode() + b"# \xe9\n")
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"cannot read config file {path}: ")
+
+
 def test_unknown_key_exit_code(tmp_path):
     cfg = _write(tmp_path, BASE + "model.zz = 1\n")
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
@@ -310,6 +316,7 @@ def test_unknown_key_exit_code(tmp_path):
         "classify.window_fraction",
         "threshold.max_bisect",
         "sweep.workers",
+        "output.directory",
     ],
 )
 def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):

@@ -119,7 +119,7 @@ def test_scan_cross_validation():
 def test_sweep_axes_parsing():
     cfg = parse_config(MINIMAL + "sweep.a = 0.4, 0.8\nsweep.kind = competition, predation\n")
     assert cfg.sweep_axes == {"a": [0.4, 0.8], "kind": ["competition", "predation"]}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^line 12: sweep.kind: must be one of competition, predation; got 'symbiosis'$"):
         parse_config(MINIMAL + "sweep.kind = competition, symbiosis\n")
 
 
@@ -140,7 +140,7 @@ def test_render_parse_round_trip():
     cfg = parse_config(
         MINIMAL
         + "numerics.dt = 0.037\nsweep.a = 0.4, 0.8\n"
-        + "output.directory = /tmp/somewhere\n"
+        + "sweep.kind = predation, competition\noutput.formats = json\n"
     )
     text = render_config(cfg.resolved)
     cfg2 = parse_config(text)
@@ -159,6 +159,28 @@ def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(tmp_path / "nope.cfg"))
     assert "nope.cfg" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("init.amp_u", "x", "not a number: 'x'"),
+        ("init.amp_u", "-0.0", "must be > 0, got -0.0"),
+        ("threshold.ray_mu", "-1e-3", "must be >= 0, got -1e-3"),
+        ("numerics.n", "8.0", "not an integer: '8.0'"),
+        ("numerics.n", "07", "must be >= 8, got 7"),
+        ("numerics.snapshot_every", "-1", "must be >= 0, got -1"),
+        ("numerics.dt", "automatic", "not a number: 'automatic'"),
+        ("supersolution.h1", "0", "must be > 0, got 0"),
+        ("sweep.mu", " , ", "empty list"),
+        ("sweep.mu", "1, two", "not a number: 'two'"),
+        ("sweep.kind", "predation, , symbiosis", "must be one of competition, predation; got 'symbiosis'"),
+    ],
+)
+def test_value_messages(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"{key} = {value}\n")
+    assert str(err.value) == f"line 12: {key}: {message}"
 
 
 def test_load_config_reads_file(tmp_path):

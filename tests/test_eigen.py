@@ -693,3 +693,36 @@ def test_lambda_p_matches_exact_value_at_second_order(family, ell, radius):
 def test_criterion_03_critical_length_within_tol_of_exact_value(family):
     res = critical_length(1.0, 0.5, make_kernel(family, 1.0), tol=1e-4)
     assert abs(res.ell_star - EXACT_ELL_STAR[family]) <= 1e-4
+
+
+# ROADMAP item 4's false spreading certificate: tent, d1 = 1, a = 0.05 and a
+# habitat of length 3.555, just above the code's ell* but below the true one
+FALSE_SPREAD_A, FALSE_SPREAD_L = 0.05, 3.555
+
+
+def _reference_lambda_p(ell, theta0, kernel):
+    """lambda_p on grids of spacing R/200, R/400 and R/800, extrapolated at
+    second order, and the order the three values show."""
+    lams = []
+    for per_radius in (200, 400, 800):
+        n = round(per_radius * ell / kernel.radius) + 1
+        lams.append(lambda_p(EigenProblem(d=1.0, theta0=theta0, ell1=0.0, ell2=ell, n=n, kernel=kernel)).lambda_p)
+    order = math.log2((lams[0] - lams[1]) / (lams[1] - lams[2]))
+    return lams[2] + (lams[2] - lams[1]) / 3.0, order
+
+
+def test_false_spreading_reference_is_subcritical_at_second_order():
+    ref, order = _reference_lambda_p(FALSE_SPREAD_L, FALSE_SPREAD_A, TENT)
+    assert abs(order - 2.0) < 0.01
+    assert ref == pytest.approx(-5.07e-5, abs=0.01e-5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: at L = 3.555 (tent, a = 0.05) the true lambda_p is -5.07e-5, but "
+    "lambda_p_interval gives +1.75e-3 and critical_length gives ell* = 3.55317 < L",
+)
+def test_habitat_below_the_true_critical_length_is_not_certified_to_spread():
+    assert lambda_p_interval(1.0, FALSE_SPREAD_A, 0.0, FALSE_SPREAD_L, TENT).lambda_p < 0
+    assert critical_length(1.0, FALSE_SPREAD_A, TENT).ell_star > FALSE_SPREAD_L

@@ -74,6 +74,7 @@ def test_trajectory_csv_shape_and_fidelity():
     assert lines[0] == "t,g,h,gdot,hdot,sup_u,sup_v,u_center,v_center"
     assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
     assert len(lines) == 1 + len(traj.t)
+    assert lines[-1] == ",".join(fmt_float(getattr(traj, name)[-1]) for name in TRAJECTORY_COLUMNS)
     cells = lines[-1].split(",")
     assert float(cells[2]) == float(traj.h[-1])  # exact round-trip
     assert float(cells[5]) == float(traj.sup_u[-1])
@@ -85,7 +86,9 @@ def test_snapshot_csv_and_files(tmp_path):
     text = snapshot_csv(traj.snapshots[0])
     head, first = text.strip().split("\n")[:2]
     assert head == "x,u,v"
-    assert float(first.split(",")[0]) == float(traj.snapshots[0].x[0])
+    snap = traj.snapshots[0]
+    assert first == f"{fmt_float(snap.x[0])},{fmt_float(snap.u[0])},{fmt_float(snap.v[0])}"
+    assert float(first.split(",")[0]) == float(snap.x[0])
 
     records = write_snapshots(str(tmp_path), traj)
     assert len(records) == len(traj.snapshots)
@@ -96,9 +99,12 @@ def test_snapshot_csv_and_files(tmp_path):
 
 def test_phase_csv_columns():
     row = {name: float("nan") for name in PHASE_COLUMNS}
-    row.update({"kind": "competition", "verdict": "Failed", "certificate": "ValueError"})
+    row.update({"kind": "competition", "mu": 0.1, "verdict": "Failed", "certificate": "ValueError"})
     table = PhaseTable(columns=PHASE_COLUMNS, rows=[row])
     lines = phase_csv(table).strip().split("\n")
     assert lines[0] == ",".join(PHASE_COLUMNS)
     assert len(lines) == 2
     assert "Failed" in lines[1]
+    # floats to 17 digits, names as they are
+    assert lines[1].split(",")[PHASE_COLUMNS.index("mu")] == "0.10000000000000001"
+    assert lines[1].split(",")[PHASE_COLUMNS.index("kind")] == "competition"

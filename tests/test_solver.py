@@ -27,7 +27,7 @@ from frontlab import (
 )
 from frontlab.eigen import EigenProblem, lambda_p
 from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
-from frontlab.model import field_bounds
+from frontlab.model import coexistence_state, field_bounds
 from frontlab.solver import State, auto_dt, initial_state, reference_grid
 
 TENT = make_kernel("tent", 1.0)
@@ -879,3 +879,21 @@ def test_stalled_habitat_decays_at_its_principal_eigenvalue():
         rate = np.polyfit(traj.t[late], np.log(traj.sup_u[late]), 1)[0]
         prob = EigenProblem(d=p.d1, theta0=p.a, ell1=float(traj.g[-1]), ell2=float(traj.h[-1]), n=2001, kernel=TENT)
         assert abs(rate - lambda_p(prob).lambda_p) < 1e-4, (n, rate)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 11: the point-sampled taps shift the discrete equilibrium, so at "
+    "t = 200 u and v sit 1.24e-3 and 6.0e-4 from the coexistence state near the centre",
+)
+def test_criterion_07_predation_run_reaches_the_coexistence_state():
+    p = ModelParams(kind="predation", d1=1.0, d2=1.0, a=2.0, b=0.5, c=0.5, mu=0.05, rho=0.05)
+    init = InitialData.cosine(h0=2.0, amp_u=0.5, amp_v=0.5)
+    traj = run(p, init, TENT, RunControl(horizon=200.0, n=400, dt=0.05, record_every=100, snapshot_every=4000))
+    snap = traj.snapshots[-1]
+    assert snap.t == pytest.approx(200.0)
+    u_star, v_star = coexistence_state(p)
+    near_centre = np.abs(snap.x - 0.5 * (snap.g + snap.h)) <= (snap.h - snap.g) / 8.0
+    assert np.max(np.abs(snap.u[near_centre] - u_star)) < 1e-6
+    assert np.max(np.abs(snap.v[near_centre] - v_star)) < 1e-6

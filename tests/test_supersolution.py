@@ -142,3 +142,15 @@ def test_domination_requires_snapshots():
     traj = run(p, INIT, TENT, RunControl(horizon=2.0, n=100, record_every=10))
     with pytest.raises(ValueError):
         check_domination(spec, traj)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 5: recorded at every step, the criterion-09 run passes the "
+    "competition barrier's front, h - hbar = 2.74e-6 against a tol of 1e-6",
+)
+def test_criterion_09_barrier_dominates_at_every_step():
+    barrier = build_vanishing_supersolution(_competition(), INIT, TENT, h1=0.3)
+    traj = run(_competition(), INIT, TENT, RunControl(horizon=40.0, n=200, record_every=1, snapshot_every=50))
+    assert check_domination(barrier, traj).dominated
