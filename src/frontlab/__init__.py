@@ -37,7 +37,7 @@ from .errors import (
     RegimeError,
     SolverFailure,
 )
-from .kernels import Kernel, make_kernel
+from .kernels import Kernel
 from .model import InitialData, ModelParams
 from .solver import RunControl, Trajectory, run
 from .supersolution import (
@@ -56,8 +56,7 @@ __all__ = [
     "ScanControl", "ThresholdEstimate", "estimate_threshold",
     "PhaseTable", "sweep",
     # kernels, eigenvalues, critical length
-    "Kernel", "make_kernel",
-    "EigenProblem", "EigenResult", "default_n", "lambda_p", "lambda_p_interval",
+    "Kernel", "EigenProblem", "EigenResult", "default_n", "lambda_p", "lambda_p_interval",
     "CriticalLengthResult", "critical_length",
     # super-solution checks
     "SuperSolutionSpec", "DominationReport", "build_vanishing_supersolution", "check_domination",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .eigen import CriticalLengthResult, critical_length, lambda_p_interval
 from .errors import InconclusiveError, RegimeError, SolverFailure
-from .kernels import Kernel, make_kernel
+from .kernels import Kernel
 from .model import InitialData, ModelParams
 # auto_dt and run are unused here but stay imported: bench/tracer.py SITES wrap
 # frontlab.classify.auto_dt and frontlab.classify.run
@@ -74,21 +74,17 @@ class Classification:
     note: str = ""
 
 
-# bisection tolerance of every cached critical length
-_ELL_STAR_TOL = 1e-4
-
-
 @lru_cache(maxsize=None)
-def ell_star_cached(d1: float, a: float, family: str, radius: float) -> CriticalLengthResult:
-    """Critical length, computed once per (d1, a, kernel) for reuse in sweeps."""
-    return critical_length(d1, a, make_kernel(family, radius), tol=_ELL_STAR_TOL)
+def ell_star_cached(d1: float, a: float, k: Kernel) -> CriticalLengthResult:
+    """Critical length at the default tol, computed once per (d1, a, kernel) for reuse in sweeps."""
+    return critical_length(d1, a, k)
 
 
 def _spread_lengths(p: ModelParams, k: Kernel) -> tuple[float, float]:
     """(pi*sqrt(d2), critical length): the two lengths a vanishing habitat
     never outgrows, so a habitat longer than their minimum spreads.
     Needs a < d1, where the critical length exists."""
-    return math.pi * math.sqrt(p.d2), ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
+    return math.pi * math.sqrt(p.d2), ell_star_cached(p.d1, p.a, k).ell_star
 
 
 def _quiet(rec, start: int) -> bool:

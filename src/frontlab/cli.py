@@ -25,7 +25,7 @@ from .classify import _run_classified, classify, estimate_threshold, make_dichot
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
-from .kernels import make_kernel
+from .kernels import Kernel
 from .output import (
     atomic_write_text,
     dumps_json,
@@ -48,7 +48,10 @@ EXIT_REGIME = 5
 def _out_dir(args) -> str:
     """The --out-dir directory, created; an empty one is the working directory."""
     outdir = args.out_dir or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from None
     return outdir
 
 
@@ -210,7 +213,7 @@ def cmd_supersolution_check(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    kernel = make_kernel(args.family, args.radius)
+    kernel = Kernel(args.family, args.radius)
     n = args.n if args.n is not None else default_n(0.0, args.length, kernel)
     res = lambda_p(EigenProblem(d=args.d, theta0=args.theta0, ell1=0.0, ell2=args.length, n=n, kernel=kernel))
     record = {
@@ -228,7 +231,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_critical_length(args) -> int:
-    kernel = make_kernel(args.family, args.radius)
+    kernel = Kernel(args.family, args.radius)
     res = critical_length(args.d1, args.a, kernel, tol=args.tol)
     record = {
         "command": "critical-length",
@@ -253,15 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out_dir(cmd):
+    def add_tail(cmd, func):
         cmd.add_argument("--out-dir", default=".", help="output directory, created if missing (default: .)")
+        cmd.set_defaults(func=func)
 
     def add_config_cmd(name, func, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a run configuration file")
-        add_out_dir(cmd)
-        cmd.set_defaults(func=func)
+        add_tail(cmd, func)
         return cmd
+
+    def add_kernel_tail(cmd, func):  # Kernel(family, radius)'s flags first
+        cmd.add_argument("--family", default="tent")
+        cmd.add_argument("--radius", type=float, default=1.0)
+        add_tail(cmd, func)
 
     add_config_cmd("simulate", cmd_simulate, "integrate one run and emit trajectory files")
     add_config_cmd("classify", cmd_classify, "simulate, then report a spreading/vanishing verdict")
@@ -284,19 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--theta0", type=float, required=True)
     eig.add_argument("--length", type=float, required=True)
     eig.add_argument("--n", type=int, default=None)
-    eig.add_argument("--family", default="tent")
-    eig.add_argument("--radius", type=float, default=1.0)
-    add_out_dir(eig)
-    eig.set_defaults(func=cmd_eigen)
+    add_kernel_tail(eig, cmd_eigen)
 
     crit = sub.add_parser("critical-length", help="length at which the eigenvalue crosses zero")
     crit.add_argument("--d1", type=float, required=True)
     crit.add_argument("--a", type=float, required=True)
     crit.add_argument("--tol", type=float, default=1e-4)
-    crit.add_argument("--family", default="tent")
-    crit.add_argument("--radius", type=float, default=1.0)
-    add_out_dir(crit)
-    crit.set_defaults(func=cmd_critical_length)
+    add_kernel_tail(crit, cmd_critical_length)
 
     return parser
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .classify import SWEEP_AXES, ScanControl
 from .errors import ConfigError
-from .kernels import KNOWN_FAMILIES, Kernel, make_kernel
+from .kernels import KNOWN_FAMILIES, Kernel
 from .model import KINDS, InitialData, ModelParams
 from .output import fmt_float
 from .solver import RunControl
@@ -92,6 +92,7 @@ _FIELD = object()
 
 # sections whose keys fill the fields of a dataclass, by field name
 _SECTIONS = {
+    "kernel": Kernel,
     "model": ModelParams,
     "numerics": RunControl,
     "threshold": ScanControl,
@@ -101,7 +102,7 @@ _SECTIONS = {
 # _FIELD the keys that take the default of the dataclass field they fill
 _SCHEMA = {
     "kernel.family": (_parse_choice(KNOWN_FAMILIES), "tent"),
-    "kernel.radius": (_positive, 1.0),
+    "kernel.radius": (_positive, _FIELD),
     "model.kind": (_parse_choice(KINDS), _REQUIRED),
     "model.d1": (_positive, _REQUIRED),
     "model.d2": (_positive, _REQUIRED),
@@ -219,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
         axis: resolved[f"sweep.{axis}"] for axis in SWEEP_AXES if resolved[f"sweep.{axis}"] is not None
     }
     return RunConfig(
-        kernel=make_kernel(resolved["kernel.family"], resolved["kernel.radius"]),
+        kernel=_build_section("kernel", resolved),
         model=_build_section("model", resolved),
         h0=resolved["init.h0"],
         amp_u=resolved["init.amp_u"],

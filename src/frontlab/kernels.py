@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,7 @@ class Kernel:
     """A dispersal kernel with unit mass and compact support [-radius, radius]."""
 
     family: str
-    radius: float
+    radius: float = 1.0
 
     def __call__(self, s):
         """Evaluate J pointwise (vectorized)."""
@@ -76,31 +75,17 @@ class Kernel:
             raise ValueError(f"kernel radius must be a positive finite number, got {self.radius!r}")
         # checked as given, so a message shows the radius the caller passed
         object.__setattr__(self, "radius", float(self.radius))
-        # _scipy.erf is bound here, when a truncated_gaussian kernel is
-        # made, and for no other family: a sweep child forked after the
-        # kernel exists inherits it, and a spawned one binds it on its
-        # first read
+        # truncated_gaussian's constants, fixed here and only for that family,
+        # so _scipy.erf is bound only when such a kernel is made; they sit in
+        # the instance __dict__, outside the fields that eq and hash read, so
+        # a pickled kernel carries them and a forked sweep child inherits them
         if self.family == "truncated_gaussian":
-            self._gauss_norm
-
-    # truncated_gaussian's constants; each cache lives in the instance
-    # __dict__, outside the fields that eq and hash read
-
-    @cached_property
-    def _erf_edge(self) -> float:
-        # erf at the support edge, r/(sqrt(2)*sigma)
-        r = self.radius
-        sig = r / 3.0
-        return _scipy.erf(r / (math.sqrt(2.0) * sig))
-
-    @cached_property
-    def _gauss_norm(self) -> float:
-        # 1/mass
-        r = self.radius
-        sig = r / 3.0
-        edge = math.exp(-_EDGE_EXPONENT)
-        mass = math.sqrt(2.0 * math.pi) * sig * self._erf_edge - 2.0 * r * edge
-        return 1.0 / mass
+            r = self.radius
+            sig = r / 3.0
+            erf_edge = _scipy.erf(r / (math.sqrt(2.0) * sig))  # erf at the support edge
+            mass = math.sqrt(2.0 * math.pi) * sig * erf_edge - 2.0 * r * math.exp(-_EDGE_EXPONENT)
+            object.__setattr__(self, "_erf_edge", erf_edge)
+            object.__setattr__(self, "_gauss_norm", 1.0 / mass)
 
 
 def trapezoid_weights(nodes: int, spacing: float) -> np.ndarray:
@@ -151,7 +136,3 @@ def nonlocal_apply(k: Kernel, spacing: float, f: np.ndarray) -> np.ndarray:
     m = support_offsets(k, spacing, len(f))
     return apply_taps(f, kernel_taps(k, spacing, m))
 
-
-def make_kernel(family: str, radius: float = 1.0) -> Kernel:
-    """Build a kernel from a family name and support radius."""
-    return Kernel(family=family, radius=radius)

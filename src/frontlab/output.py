@@ -61,9 +61,14 @@ def dumps_json(value) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # no temp file outlives a failed write or rename
+        os.remove(tmp)
+        raise
 
 
 def write_json(path: str, value) -> None:

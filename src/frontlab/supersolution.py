@@ -189,7 +189,7 @@ def build_vanishing_supersolution(
     if not (p.a < p.d1):
         raise RegimeError(f"super-solution needs a < d1; got a={p.a}, d1={p.d1}")
     if h1 is None:
-        half_ell = 0.5 * ell_star_cached(p.d1, p.a, k.family, k.radius).ell_star
+        half_ell = 0.5 * ell_star_cached(p.d1, p.a, k).ell_star
         if not (h0 < half_ell):
             raise RegimeError(
                 f"automatic h1 = (h0 + ell*/2)/2 needs h0 < ell*/2 = {half_ell:.6g}; "

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from frontlab import (
     InitialData,
+    Kernel,
     ModelParams,
     RunControl,
     build_vanishing_supersolution,
@@ -25,7 +26,6 @@ from frontlab import (
     estimate_threshold,
     lambda_p_interval,
     make_dichotomy_stop,
-    make_kernel,
     run,
     sweep,
 )
@@ -34,7 +34,7 @@ from frontlab.kernels import KNOWN_FAMILIES
 from frontlab.model import coexistence_state, field_bounds
 from frontlab.output import phase_csv
 
-TENT = make_kernel("tent", 1.0)
+TENT = Kernel("tent", 1.0)
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -272,7 +272,7 @@ def test_criterion_09_supersolution_domination():
 def _check_kernel_invariants():
     good = True
     for family in KNOWN_FAMILIES:
-        k = make_kernel(family, 1.0)
+        k = Kernel(family, 1.0)
         mass, _ = scipy.integrate.quad(k, -k.radius, k.radius, points=[0.0], limit=200)
         xs = np.linspace(0.0, k.radius, 301)
         good &= abs(mass - 1.0) <= 1e-10

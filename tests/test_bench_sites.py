@@ -8,7 +8,7 @@ import importlib.util
 import math
 import os
 
-from frontlab import InitialData, ModelParams, RunControl, make_kernel, run, solver
+from frontlab import InitialData, ModelParams, RunControl, run, solver
 from frontlab.kernels import Kernel
 
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
@@ -53,7 +53,7 @@ def test_run_makes_one_solve_per_step_and_one_more_velocity_call(monkeypatch):
     monkeypatch.setattr(Kernel, "tail_mass", counting(Kernel, "tail_mass"))
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.2, rho=0.2)
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
-    k, ctrl = make_kernel("tent", 1.0), RunControl(horizon=0.5, n=64, dt=0.01, record_every=7)
+    k, ctrl = Kernel("tent", 1.0), RunControl(horizon=0.5, n=64, dt=0.01, record_every=7)
     traj = run(p, init, k, ctrl)
     assert traj.termination == "horizon"
     steps = math.ceil(0.5 / 0.01)
@@ -83,6 +83,6 @@ def test_auto_dt_run_looks_up_auto_dt_once_per_step(monkeypatch):
         monkeypatch.setattr(solver, name, counting(name))
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.2, rho=0.2)
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
-    traj = run(p, init, make_kernel("tent", 1.0), RunControl(horizon=0.5, n=64, record_every=1))
+    traj = run(p, init, Kernel("tent", 1.0), RunControl(horizon=0.5, n=64, record_every=1))
     assert traj.termination == "horizon"
     assert calls["auto_dt"] == calls["solve_banded"] == len(traj.t) - 1 > 0

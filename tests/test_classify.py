@@ -8,6 +8,7 @@ import importlib
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 from types import SimpleNamespace
@@ -19,15 +20,16 @@ from frontlab import (
     ConfigError,
     InconclusiveError,
     InitialData,
+    Kernel,
     ModelParams,
     RegimeError,
     RunControl,
     ScanControl,
     SolverFailure,
     classify,
+    critical_length,
     estimate_threshold,
     make_dichotomy_stop,
-    make_kernel,
     run,
     sweep,
 )
@@ -50,7 +52,7 @@ from frontlab.solver import Trajectory
 
 classify_module = importlib.import_module("frontlab.classify")  # frontlab.classify is the function
 
-TENT = make_kernel("tent", 1.0)
+TENT = Kernel("tent", 1.0)
 
 
 def _params(kind="competition", **kw):
@@ -105,7 +107,7 @@ def test_pi_bound_certificate_crafted():
 
 def test_ell_star_certificate_crafted():
     p = _params(a=0.1, d2=0.5)
-    ell = ell_star_cached(1.0, 0.1, "tent", 1.0).ell_star
+    ell = ell_star_cached(1.0, 0.1, TENT).ell_star
     t = np.arange(4.0)
     half = np.array([1.0, 1.05, 0.51 * ell + 0.01, 0.51 * ell + 0.01])
     traj = _traj(t, half, [0.5] * 4, [0.5] * 4, [0.1] * 4)
@@ -159,17 +161,30 @@ def test_undecided_when_norms_still_large():
 
 
 def test_spreading_length_threshold():
-    ell = ell_star_cached(1.0, 0.5, "tent", 1.0).ell_star
+    ell = ell_star_cached(1.0, 0.5, TENT).ell_star
     assert _spread_lengths(_params(a=0.5, d2=1.0), TENT) == (math.pi, ell)
     assert _spread_lengths(_params(a=0.5, d2=0.01), TENT) == (math.pi * 0.1, ell)
 
 
 def test_ell_star_cache_hits():
+    # the kernel is the key: kernels built apart are equal, hash equal and
+    # share one entry, and a pickled one (as a spawned sweep child gets it)
+    # evaluates to the same bits
     ell_star_cached.cache_clear()
-    first = ell_star_cached(1.0, 0.5, "tent", 1.0)
-    again = ell_star_cached(1.0, 0.5, "tent", 1.0)
-    assert again is first
-    assert ell_star_cached.cache_info().hits >= 1
+    first = ell_star_cached(1.0, 0.5, TENT)
+    assert ell_star_cached(1.0, 0.5, Kernel("tent")) is first  # radius 1.0 by default
+    gauss, again = Kernel("truncated_gaussian", 1.5), Kernel("truncated_gaussian", 1.5)
+    assert gauss is not again and gauss == again and hash(gauss) == hash(again)
+    entry = ell_star_cached(1.0, 0.5, gauss)
+    assert ell_star_cached(1.0, 0.5, again) is entry
+    info = ell_star_cached.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert entry == critical_length(1.0, 0.5, gauss)  # at critical_length's default tol
+    copy = pickle.loads(pickle.dumps(gauss))
+    assert copy == gauss
+    s = np.arange(-10, 11) * (1.5 / 7)  # offsets j*spacing, past the support edge
+    assert copy(s).tobytes() == gauss(s).tobytes()
+    assert copy.tail_mass(s).tobytes() == gauss.tail_mass(s).tobytes()
 
 
 def test_dichotomy_stop_rule_reasons():

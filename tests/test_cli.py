@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from frontlab import cli, lambda_p_interval, make_kernel
+from frontlab import Kernel, cli, lambda_p_interval
 from frontlab.config import load_config, render_config
 from frontlab.cli import (
     EXIT_CONFIG,
@@ -137,7 +137,7 @@ def test_eigen_command_matches_library(tmp_path, capsys):
     )
     assert code == EXIT_OK
     record = json.loads(capsys.readouterr().out)
-    expect = lambda_p_interval(1.0, 0.5, 0.0, 2.0, make_kernel("tent", 1.0)).lambda_p
+    expect = lambda_p_interval(1.0, 0.5, 0.0, 2.0, Kernel("tent", 1.0)).lambda_p
     assert record["lambda_p"] == expect
     assert json.loads((out / "eigen.json").read_text())["lambda_p"] == expect
 
@@ -299,6 +299,24 @@ def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"cannot read config file {path}: ")
+
+
+@pytest.mark.parametrize("command", ["eigen", "simulate"])
+def test_out_dir_that_cannot_be_made_exit_code(tmp_path, capsys, command):
+    # a file where the output directory should go is a usage error, for a
+    # flag command and a config command alike
+    blocker = tmp_path / "F"
+    blocker.write_text("x")
+    head = {
+        "eigen": ["eigen", "--d", "1", "--theta0", "0.5", "--length", "4"],
+        "simulate": ["simulate", "--config", _write(tmp_path, BASE)],
+    }[command]
+    assert main(head + ["--out-dir", str(blocker)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "ConfigError"
+    assert err["message"].startswith(f"cannot create output directory {blocker}: ")
+    assert blocker.read_text() == "x"
 
 
 def test_unknown_key_exit_code(tmp_path):
@@ -522,10 +540,10 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     code = (
         "import sys\n"
         "from frontlab.config import parse_config\n"
-        "from frontlab.kernels import make_kernel\n"
+        "from frontlab.kernels import Kernel\n"
         "def scipy_modules():\n"
         "    return {m for m in sys.modules if m.partition('.')[0] == 'scipy'}\n"
-        "make_kernel('tent'), make_kernel('parabolic_bump')\n"
+        "Kernel('tent'), Kernel('parabolic_bump')\n"
         "print(sorted(scipy_modules()))\n"
         f"parse_config({BASE.replace('tent', 'truncated_gaussian')!r})\n"
         "print(sorted(scipy_modules()))\n"
@@ -609,7 +627,7 @@ def test_lapack_routines_are_scipys_in_either_import_order(frontlab_first):
     # the same bits; frontlab's erf is read through the module kernels calls
     imports = [
         "import frontlab.eigen as E, frontlab.solver as S, frontlab.kernels as K\n"
-        "K.make_kernel('truncated_gaussian')",
+        "K.Kernel('truncated_gaussian')",
         "import scipy.linalg.lapack as L, scipy.special",
     ]
     code = "\n".join(imports if frontlab_first else imports[::-1]) + (
@@ -622,8 +640,8 @@ def test_lapack_routines_are_scipys_in_either_import_order(frontlab_first):
 def test_scipy_packages_import_after_frontlab_loaded_erf():
     code = (
         "import math\n"
-        "from frontlab.kernels import make_kernel\n"
-        "make_kernel('truncated_gaussian')\n"
+        "from frontlab.kernels import Kernel\n"
+        "Kernel('truncated_gaussian')\n"
         "import scipy.special, scipy.stats\n"
         "print(scipy.special.gamma(5.0) == 24.0, math.isfinite(scipy.stats.norm.cdf(1.0)))\n"
     )
@@ -637,8 +655,8 @@ def test_scipy_packages_bind_the_modules_frontlab_loaded_first():
         "import frontlab.cli, frontlab.solver as S\n"
         "import scipy.linalg\n"
         "print(scipy.linalg._flapack.dgtsv is S._gtsv)\n"
-        "from frontlab.kernels import make_kernel\n"
-        "make_kernel('truncated_gaussian')\n"
+        "from frontlab.kernels import Kernel\n"
+        "Kernel('truncated_gaussian')\n"
         "import scipy.special\n"
         "print(scipy.special._special_ufuncs.erf is scipy.special.erf)\n"
     )

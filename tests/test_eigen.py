@@ -33,18 +33,18 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from frontlab import (
     ConvergenceError,
     EigenProblem,
+    Kernel,
     RegimeError,
     critical_length,
     default_n,
     lambda_p,
     lambda_p_interval,
-    make_kernel,
 )
 from frontlab import eigen
 from frontlab.eigen import _cholesky, _shifted_band, _subcritical
 from frontlab.kernels import trapezoid_weights
 
-TENT = make_kernel("tent", 1.0)
+TENT = Kernel("tent", 1.0)
 FAMILIES = ["tent", "parabolic_bump", "truncated_gaussian"]
 
 
@@ -99,7 +99,7 @@ def test_matches_dense_eigensolver(d, theta0, ell2):
 
 @pytest.mark.parametrize("family", ["parabolic_bump", "truncated_gaussian"])
 def test_matches_dense_eigensolver_other_kernels(family):
-    k = make_kernel(family, 1.5)
+    k = Kernel(family, 1.5)
     n = default_n(0.0, 3.0, k)
     res = lambda_p(EigenProblem(d=1.2, theta0=0.1, ell1=0.0, ell2=3.0, n=n, kernel=k))
     oracle = dense_lambda(1.2, 0.1, 0.0, 3.0, n, k)
@@ -165,7 +165,7 @@ def test_geometry_matrix_equals_index_difference_build(family, ell1, ell2):
     # the band storage of sigma*I - S is the band of the dense symmetrized
     # index-difference build, and that band holds every nonzero of S;
     # on the short interval the support spans the grid and the band is full
-    prob = EigenProblem(d=1.3, theta0=0.5, ell1=ell1, ell2=ell2, n=41, kernel=make_kernel(family, 0.9))
+    prob = EigenProblem(d=1.3, theta0=0.5, ell1=ell1, ell2=ell2, n=41, kernel=Kernel(family, 0.9))
     idx = np.arange(prob.n, dtype=float)
     w = np.full(prob.n, prob.spacing)
     w[0] = w[-1] = 0.5 * prob.spacing
@@ -193,7 +193,7 @@ def test_geometry_matrix_equals_index_difference_build(family, ell1, ell2):
 @pytest.mark.parametrize("n", [9, 65, 1601])
 def test_factor_equals_cholesky_banded(family, n):
     # LAPACK pbtrf called directly gives the wrapper's lower factor bit for bit
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=(n - 1) / 8.0, n=n, kernel=k)
     w = trapezoid_weights(n, prob.spacing)
     sigma = float(np.max(prob.d * eigen.nonlocal_apply(k, prob.spacing, w)))
@@ -273,7 +273,7 @@ def _assert_matches_upper_oracle(prob):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [9, 65, 1601])
 def test_lower_storage_matches_upper_storage_oracle(family, n):
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     _assert_matches_upper_oracle(EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=(n - 1) / 8.0, n=n, kernel=k))
 
 
@@ -313,7 +313,7 @@ def test_wide_band_matches_upper_storage_oracle_to_roundoff():
         n = int(rng.integers(70, 300))
         kd = int(rng.integers(65, n))
         d = rng.uniform(0.2, 3.0)
-        kernel = make_kernel(rng.choice(FAMILIES), radius)
+        kernel = Kernel(rng.choice(FAMILIES), radius)
         ell = radius * (n - 1) / (kd + 0.5)
         prob = EigenProblem(d=d, theta0=d * rng.uniform(0.0, 1.0), ell1=0.0, ell2=ell, n=n, kernel=kernel)
         w = trapezoid_weights(n, prob.spacing)
@@ -350,7 +350,7 @@ def test_every_factorization_passes_a_lower_band(monkeypatch):
 
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
 def test_matches_squaring_oracle_on_long_interval(family):
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=200.0, n=default_n(0.0, 200.0, k), kernel=k)
     res = lambda_p(prob)
     lam, phi = squaring_eigenpair(prob)
@@ -384,7 +384,7 @@ def test_interval_too_long_for_a_dense_matrix():
 def test_interval_flat_to_rounding_matches_dense_oracle(family, length):
     # J is flat to rounding across these intervals, so sigma ties nu_top and
     # sigma*I - S has no Cholesky factor; lambda_p factors again a little above
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     prob = EigenProblem(d=1.0, theta0=0.5, ell1=0.0, ell2=length, n=default_n(0.0, length, k), kernel=k)
     w = trapezoid_weights(prob.n, prob.spacing)
     sigma = float(np.max(prob.d * eigen.nonlocal_apply(k, prob.spacing, w)))
@@ -527,7 +527,7 @@ def test_critical_length_matches_dense_oracle():
 def test_critical_length_matches_lambda_bisection(family):
     # the sign test steers the bisection exactly as the signs of lambda_p did
     for radius, d1, ratio, tol in itertools.product([0.5, 1.0, 2.0], [0.5, 1.0, 3.0], [0.01, 0.05, 0.5, 0.99], [1e-4, 1e-6]):
-        k = make_kernel(family, radius)
+        k = Kernel(family, radius)
         res = critical_length(d1, ratio * d1, k, tol=tol)
         ell_star, lam, bracket, n = _oracle_critical_length(d1, ratio * d1, k, tol=tol)
         assert (res.ell_star, res.lambda_at_ell_star, res.bracket, res.n) == (ell_star, lam, bracket, n), (
@@ -542,7 +542,7 @@ def test_sign_test_agrees_with_lambda_p_on_random_problems():
         ell = rng.uniform(0.1, 6.0) * radius
         n = max(9, math.ceil(ell / (radius / rng.uniform(4.5, 12.0))) + 1)
         d = rng.uniform(0.2, 3.0)
-        kernel = make_kernel(rng.choice(["tent", "parabolic_bump", "truncated_gaussian"]), radius)
+        kernel = Kernel(rng.choice(["tent", "parabolic_bump", "truncated_gaussian"]), radius)
         prob = EigenProblem(d=d, theta0=d * rng.uniform(0.0, 1.0), ell1=0.0, ell2=ell, n=n, kernel=kernel)
         assert _subcritical(prob) == (lambda_p(prob).lambda_p < 0.0), prob
 
@@ -550,7 +550,7 @@ def test_sign_test_agrees_with_lambda_p_on_random_problems():
 @pytest.mark.parametrize("family", ["tent", "parabolic_bump", "truncated_gaussian"])
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.9])
 def test_sign_test_agrees_with_lambda_p_next_to_the_critical_length(family, a):
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     res = critical_length(1.0, a, k, tol=1e-12)
     for delta in (1e-3, 1e-5, 1e-7, 1e-9):
         for ell, below in ((res.ell_star - delta, True), (res.ell_star + delta, False)):
@@ -670,7 +670,7 @@ def test_lambda_p_matches_exact_value_at_second_order(family, ell, radius):
     # the error is second order in the spacing h: it falls 4x per halving of
     # h and stays within 0.25*d*(h/R)^2 (the largest measured constant is
     # 0.199, parabolic_bump at ell = R)
-    k = make_kernel(family, radius)
+    k = Kernel(family, radius)
     length = ell * radius
     for d, theta0 in [(1.0, 0.5), (0.5, 0.05), (3.0, 2.7)]:
         exact = d * (EXACT_MU[family](ell) - 1.0) + theta0
@@ -691,7 +691,7 @@ def test_lambda_p_matches_exact_value_at_second_order(family, ell, radius):
 )
 @pytest.mark.parametrize("family", sorted(EXACT_MU))
 def test_criterion_03_critical_length_within_tol_of_exact_value(family):
-    res = critical_length(1.0, 0.5, make_kernel(family, 1.0), tol=1e-4)
+    res = critical_length(1.0, 0.5, Kernel(family, 1.0), tol=1e-4)
     assert abs(res.ell_star - EXACT_ELL_STAR[family]) <= 1e-4
 
 

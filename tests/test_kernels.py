@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from frontlab import Kernel, make_kernel
+from frontlab import Kernel
 from frontlab.kernels import KNOWN_FAMILIES, nonlocal_apply
 
 RADII = (0.5, 1.0, 2.5)
@@ -25,21 +25,21 @@ def _quad_mass(k, lo, hi):
 @pytest.mark.parametrize("radius", RADII)
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_unit_mass_matches_quadrature(family, radius):
-    k = make_kernel(family, radius)
+    k = Kernel(family, radius)
     assert abs(_quad_mass(k, -radius, radius) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_even_symmetry_on_random_samples(family):
     rng = np.random.default_rng(20260825)
-    k = make_kernel(family, 1.7)
+    k = Kernel(family, 1.7)
     s = rng.uniform(-2.0, 2.0, size=257)
     np.testing.assert_array_equal(k(s), k(-s))
 
 
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_compact_support_and_positive_center(family):
-    k = make_kernel(family, 0.8)
+    k = Kernel(family, 0.8)
     assert float(k(np.float64(0.0))) > 0.0
     assert float(k(np.float64(0.8))) == 0.0
     assert float(k(np.float64(-0.8))) == 0.0
@@ -49,13 +49,13 @@ def test_compact_support_and_positive_center(family):
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_continuous_at_support_edge(family):
     # the gaussian family subtracts its edge value, so no family may jump at +-R
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     assert float(k(np.float64(1.0 - 1e-9))) <= 1e-6
 
 
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_tail_mass_anchors(family):
-    k = make_kernel(family, 1.3)
+    k = Kernel(family, 1.3)
     assert abs(float(k.tail_mass(np.float64(-1.3))) - 1.0) <= 1e-12
     assert abs(float(k.tail_mass(np.float64(0.0))) - 0.5) <= 1e-12
     assert float(k.tail_mass(np.float64(1.3))) == 0.0
@@ -67,7 +67,7 @@ def test_kernel_and_tail_mass_are_exactly_zero_past_the_radius(family):
     # zeros, so J and its tail mass must be 0.0, not a rounding residue, at
     # the radius, one ulp past it and everywhere beyond
     for radius in np.linspace(0.3, 7.0, 68):
-        k = make_kernel(family, float(radius))
+        k = Kernel(family, float(radius))
         s = np.concatenate(([radius, np.nextafter(radius, np.inf)], np.linspace(radius, 5.0 * radius, 401)))
         assert not k(s).any() and not k.tail_mass(s).any(), radius
         assert float(k.tail_mass(float(radius))) == 0.0 and float(k(float(radius))) == 0.0, radius
@@ -76,7 +76,7 @@ def test_kernel_and_tail_mass_are_exactly_zero_past_the_radius(family):
 @pytest.mark.parametrize("radius", RADII)
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_tail_mass_matches_quadrature(family, radius):
-    k = make_kernel(family, radius)
+    k = Kernel(family, radius)
     for s in np.linspace(-radius, radius, 17):
         if s >= radius:
             continue
@@ -86,7 +86,7 @@ def test_tail_mass_matches_quadrature(family, radius):
 
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_tail_mass_monotone_decreasing(family):
-    k = make_kernel(family, 2.0)
+    k = Kernel(family, 2.0)
     s = np.linspace(-2.5, 2.5, 201)
     tm = k.tail_mass(s)
     assert np.all(np.diff(tm) <= 0.0)
@@ -98,7 +98,7 @@ def test_tail_mass_monotone_decreasing(family):
 def test_first_moment_matches_quadrature(family, radius):
     # the tail mass integrates to the first moment (Fubini): the nonlocal
     # front flux of a unit density
-    k = make_kernel(family, radius)
+    k = Kernel(family, radius)
     expect, err = quad(lambda s: s * float(k(np.asarray(s))), 0.0, radius, limit=200)
     assert err < 1e-12
     got, err = quad(lambda s: float(k.tail_mass(np.float64(s))), 0.0, radius, limit=200)
@@ -114,7 +114,7 @@ def test_first_moment_matches_quadrature(family, radius):
 )
 @pytest.mark.parametrize("family", KNOWN_FAMILIES)
 def test_nonlocal_apply_matches_dense_offset_matrix(family, spacing):
-    k = make_kernel(family, 0.9)
+    k = Kernel(family, 0.9)
     f = np.random.default_rng(20261018).uniform(0.0, 2.0, size=17)
     x = np.arange(17) * spacing
     dense = k(np.subtract.outer(x, x)) @ f
@@ -131,7 +131,7 @@ def test_kernel_values_match_clip_formulas(family):
     # J and its tail mass clamp with np.maximum and np.minimum; the bits are
     # those of the np.clip forms, across the support edge and beyond
     r = 1.3
-    k = make_kernel(family, r)
+    k = Kernel(family, r)
     s = np.concatenate((np.linspace(-2.0, 2.0, 401), [-r, r, 0.0, -0.0, np.nextafter(r, 2.0)]))
     if family == "tent":
         want = np.clip(1.0 - np.abs(s) / r, 0.0, None) / r
@@ -147,7 +147,7 @@ def test_kernel_values_match_clip_formulas(family):
 
 def test_unknown_family_lists_choices():
     with pytest.raises(ValueError) as err:
-        make_kernel("boxcar", 1.0)
+        Kernel("boxcar", 1.0)
     for name in KNOWN_FAMILIES:
         assert name in str(err.value)
 
@@ -155,7 +155,7 @@ def test_unknown_family_lists_choices():
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_radius_rejected(bad):
     with pytest.raises(ValueError):
-        make_kernel("tent", bad)
+        Kernel("tent", bad)
 
 
 @pytest.mark.parametrize(
@@ -167,30 +167,29 @@ def test_bad_radius_rejected(bad):
     ids=["misspelled-family", "negative-radius"],
 )
 def test_kernel_validates_itself(family, radius, message):
-    # Kernel is public, so a direct construction is checked as make_kernel's
-    # is; without the check these evaluated as the truncated Gaussian and
-    # as a tent with J(0) = -1
-    for build in (Kernel, make_kernel):
-        with pytest.raises(ValueError) as err:
-            build(family, radius)
-        assert str(err.value) == message
+    # without the check these evaluated as the truncated Gaussian and as a
+    # tent with J(0) = -1
+    with pytest.raises(ValueError) as err:
+        Kernel(family, radius)
+    assert str(err.value) == message
 
 
 def test_kernel_stores_its_radius_as_float():
     assert type(Kernel("tent", 2).radius) is float
-    assert Kernel("tent", 2) == make_kernel("tent", 2.0)
+    assert Kernel("tent", 2) == Kernel("tent", 2.0)
+    assert Kernel("tent").radius == 1.0
 
 
 def test_gauss_norm_cached_closed_form_and_pickles():
     # mass of exp(-s^2 / (2 sigma^2)) - exp(-4.5) over [-R, R], sigma = R/3
-    k = make_kernel("truncated_gaussian", 2.0)
+    k = Kernel("truncated_gaussian", 2.0)
     mass = math.sqrt(2.0 * math.pi) * (2.0 / 3.0) * erf(3.0 / math.sqrt(2.0)) - 2.0 * 2.0 * math.exp(-4.5)
     assert k._gauss_norm == pytest.approx(1.0 / mass, rel=1e-14)
-    assert "_gauss_norm" in vars(k)  # cached on the instance
+    assert "_gauss_norm" in vars(k)  # stored on the instance
     s = np.linspace(-2.5, 2.5, 41)
     before, tail_before = k(s), k.tail_mass(s)
-    k2 = pickle.loads(pickle.dumps(k))  # pickled after first use, cache included
+    k2 = pickle.loads(pickle.dumps(k))  # the constants travel with the pickle
     assert k2 == k and hash(k2) == hash(k)
     assert np.array_equal(k2(s), before) and np.array_equal(k2.tail_mass(s), tail_before)
-    fresh = make_kernel("truncated_gaussian", 2.0)
+    fresh = Kernel("truncated_gaussian", 2.0)
     assert np.array_equal(fresh(s), before)

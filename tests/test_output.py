@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from frontlab import InitialData, ModelParams, RunControl, make_kernel, run
+from frontlab import InitialData, Kernel, ModelParams, RunControl, run
 from frontlab.output import (
     atomic_write_text,
     dumps_json,
@@ -55,6 +55,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_failed_atomic_write_removes_its_temp_file(tmp_path):
+    # a directory at the target path: the rename fails after the temp file
+    # is written, and the temp file goes before the error propagates
+    (tmp_path / "out.txt").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(tmp_path / "out.txt"), "payload")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 def test_write_json(tmp_path):
     path = tmp_path / "rec.json"
     write_json(str(path), {"x": 1.5})
@@ -64,7 +73,7 @@ def test_write_json(tmp_path):
 def _tiny_trajectory():
     p = ModelParams(kind="competition", d1=1.0, d2=1.0, a=0.8, b=0.5, c=0.5, mu=0.1, rho=0.1)
     init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.3)
-    k = make_kernel("tent", 1.0)
+    k = Kernel("tent", 1.0)
     return run(p, init, k, RunControl(horizon=0.3, n=64, dt=0.01, record_every=10, snapshot_every=10))
 
 

@@ -21,7 +21,6 @@ from frontlab import (
     RunControl,
     SolverFailure,
     lambda_p_interval,
-    make_kernel,
     run,
     solver,
 )
@@ -30,7 +29,7 @@ from frontlab.kernels import Kernel, nonlocal_apply, trapezoid_weights
 from frontlab.model import coexistence_state, field_bounds
 from frontlab.solver import State, auto_dt, initial_state, reference_grid
 
-TENT = make_kernel("tent", 1.0)
+TENT = Kernel("tent", 1.0)
 
 
 def _batch(p: ModelParams, k: Kernel, s: State) -> solver._Batch:
@@ -654,7 +653,7 @@ def _tilted(h0, amp, tilt):
 def test_step_and_velocities_match_field_by_field_oracle(family, kind, dt, h0):
     p = _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=0.3, rho=2.0)
     init = InitialData(h0, _tilted(h0, 0.6, 0.4), _tilted(h0, 0.5, -0.3))
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=1, snapshot_every=7)
     got = run(p, init, k, ctrl)
     want = _oracle_run(p, init, k, ctrl)
@@ -673,7 +672,7 @@ def test_velocities_match_position_based_fsum_oracle(family, kind, h0):
     # state of a short run
     p = _params(kind, d2=0.8, a=0.9, b=0.4, c=0.3, mu=0.3, rho=2.0)
     init = InitialData(h0, _tilted(h0, 0.6, 0.4), _tilted(h0, 0.5, -0.3))
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     traj = run(p, init, k, RunControl(horizon=0.1, n=64, dt=0.004, record_every=1, snapshot_every=1))
     assert len(traj.snapshots) == 26
     m = _front_m(State(0.0, traj.g[0], traj.h[0], traj.snapshots[0].u, traj.snapshots[0].v), k)
@@ -693,7 +692,7 @@ def test_front_sums_ignore_the_batch_width_and_keep_mirror_symmetry(family, n):
     # mirror-symmetric ones.  At the radius 0.7, 0.75*r/r is not 0.75, which
     # the parabolic tail mass must not round through
     rng = np.random.default_rng(n)
-    k = make_kernel(family, 0.7)
+    k = Kernel(family, 0.7)
     p = _params(mu=0.3, rho=2.0)
     states = []
     for radii in (0.5, 1.7, 6.0, 25.0):
@@ -748,7 +747,7 @@ def test_batch_rows_match_their_runs_alone(family, dt, monkeypatch):
         check_invariants(row, t, g, h, wmax, zmax)
 
     monkeypatch.setattr(solver._Row, "check_invariants", failing_after_the_arithmetic)
-    k = make_kernel(family, 1.0)
+    k = Kernel(family, 1.0)
     ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=3, snapshot_every=11)
     results = solver.run_batch(jobs, k, ctrl)
     failing = ["SolverFailure"] if dt else ["Trajectory"]

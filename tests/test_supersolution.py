@@ -5,17 +5,17 @@ import pytest
 
 from frontlab import (
     InitialData,
+    Kernel,
     ModelParams,
     RegimeError,
     RunControl,
     build_vanishing_supersolution,
     check_domination,
-    make_kernel,
     run,
 )
 from frontlab.classify import ell_star_cached
 
-TENT = make_kernel("tent", 1.0)
+TENT = Kernel("tent", 1.0)
 
 
 def _competition(mu=0.1, rho=0.1, a=0.5):
@@ -115,7 +115,7 @@ def test_predation_construction_invariants():
 @pytest.mark.parametrize("kind", ["competition", "predation"])
 def test_omitted_h1_is_halfway_to_half_the_critical_length(kind):
     p = _competition() if kind == "competition" else _predation()
-    ell_star = ell_star_cached(p.d1, p.a, TENT.family, TENT.radius).ell_star
+    ell_star = ell_star_cached(p.d1, p.a, TENT).ell_star
     spec = build_vanishing_supersolution(p, INIT, TENT)
     assert spec.h1 == 0.5 * (INIT.h0 + 0.5 * ell_star)
 
