@@ -23,7 +23,7 @@ from functools import lru_cache
 # frontlab.cli.make_dichotomy_stop
 from .classify import _run_classified, classify, estimate_threshold, make_dichotomy_stop, sweep  # noqa: F401
 from .config import RunConfig, load_config
-from .eigen import EigenProblem, critical_length, default_n, lambda_p
+from .eigen import EigenProblem, check_critical_length_args, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
 from .kernels import Kernel
 from .output import (
@@ -75,10 +75,10 @@ def _emit(outdir: str, cfg: RunConfig, name: str, record: dict, written=(), mess
     return EXIT_OK
 
 
-def _emit_flag(args, name: str, record: dict) -> int:
-    """A flag command's tail: the record to name in the output directory, and on stdout."""
+def _emit_flag(outdir: str, name: str, record: dict) -> int:
+    """A flag command's tail: the record to outdir/name, and on stdout."""
     text = dumps_json(record)
-    atomic_write_text(os.path.join(_out_dir(args), name), text)
+    atomic_write_text(os.path.join(outdir, name), text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -215,7 +215,9 @@ def cmd_supersolution_check(args) -> int:
 def cmd_eigen(args) -> int:
     kernel = Kernel(args.family, args.radius)
     n = args.n if args.n is not None else default_n(0.0, args.length, kernel)
-    res = lambda_p(EigenProblem(d=args.d, theta0=args.theta0, ell1=0.0, ell2=args.length, n=n, kernel=kernel))
+    prob = EigenProblem(d=args.d, theta0=args.theta0, ell1=0.0, ell2=args.length, n=n, kernel=kernel)
+    outdir = _out_dir(args)  # once the flags are checked, before the computation
+    res = lambda_p(prob)
     record = {
         "command": "eigen",
         "d": args.d,
@@ -227,11 +229,13 @@ def cmd_eigen(args) -> int:
         "residual": res.residual,
         "iterations": res.iterations,
     }
-    return _emit_flag(args, "eigen.json", record)
+    return _emit_flag(outdir, "eigen.json", record)
 
 
 def cmd_critical_length(args) -> int:
     kernel = Kernel(args.family, args.radius)
+    check_critical_length_args(args.d1, args.a, args.tol)
+    outdir = _out_dir(args)  # once the flags are checked, before the computation
     res = critical_length(args.d1, args.a, kernel, tol=args.tol)
     record = {
         "command": "critical-length",
@@ -244,7 +248,7 @@ def cmd_critical_length(args) -> int:
         "bracket": list(res.bracket),
         "n": res.n,
     }
-    return _emit_flag(args, "critical_length.json", record)
+    return _emit_flag(outdir, "critical_length.json", record)
 
 
 @lru_cache(maxsize=1)

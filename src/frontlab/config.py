@@ -27,7 +27,6 @@ from .classify import SWEEP_AXES, ScanControl
 from .errors import ConfigError
 from .kernels import KNOWN_FAMILIES, Kernel
 from .model import KINDS, InitialData, ModelParams
-from .output import fmt_float
 from .solver import RunControl
 
 
@@ -245,10 +244,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return fmt_float(value)
     if isinstance(value, (list, tuple)):
-        return ", ".join(_format_value(item) for item in value)
+        return ", ".join(map(str, value))
     return str(value)
 
 

@@ -21,7 +21,7 @@ pbtrf may then find sigma*I - S not positive definite.  lambda_p factors
 once more at sigma*(1 + 2^-40) in that case only, so every problem that
 factors at sigma keeps its bits.  The retried solve grows the iterate by
 about 2^40/sigma, which overflows once d*length is below about 1e-292
-kernel radii; lambda_p rejects lengths below 2^-900 (1.2e-271) radii,
+kernel radii; EigenProblem rejects lengths below 2^-900 (1.2e-271) radii,
 which covers every d above about 1e-20.  A solve shrinks the error by (sigma - nu_top)
 / (sigma - nu_2), about 1/4 at any length as both gaps scale as
 1/length^2.  The reported eigenvalue is the weighted Rayleigh quotient
@@ -67,7 +67,7 @@ _MAX_SOLVES = 50
 _RESIDUAL_TOL = 1e-8
 # lambda_p's relative shift when sigma ties nu_top; 2^-52 is too small for the tent
 _RETRY_SHIFT = 2.0**-40
-# shortest interval lambda_p takes, in kernel radii; see module docstring
+# shortest interval an EigenProblem takes, in kernel radii; see module docstring
 _MIN_RADII = 2.0**-900
 # critical_length searches lengths up to this many kernel radii
 _ELL_MAX_RADII = 50.0
@@ -95,6 +95,9 @@ class EigenProblem:
             raise ValueError(f"theta0 must be finite, got {self.theta0!r}")
         if not (self.ell2 > self.ell1):
             raise ValueError(f"degenerate interval ({self.ell1}, {self.ell2})")
+        length = self.ell2 - self.ell1
+        if length / self.kernel.radius < _MIN_RADII:
+            raise ValueError(f"interval length {length!r} too short: lambda_p needs at least 2^-900 kernel radii")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes, got {self.n}")
         if self.spacing >= self.kernel.radius / 4.0:
@@ -176,9 +179,6 @@ def _subcritical(prob: EigenProblem) -> bool:
 
 def lambda_p(prob: EigenProblem) -> EigenResult:
     """Top eigenpair of the discretized operator; see module docstring."""
-    length = prob.ell2 - prob.ell1
-    if length / prob.kernel.radius < _MIN_RADII:
-        raise ValueError(f"interval length {length!r} too short: lambda_p needs at least 2^-900 kernel radii")
     w = trapezoid_weights(prob.n, prob.spacing)
     sqrt_w = np.sqrt(w)
     sigma = float(np.max(prob.d * nonlocal_apply(prob.kernel, prob.spacing, w)))
@@ -240,6 +240,20 @@ class CriticalLengthResult:
     n: int
 
 
+def check_critical_length_args(d1: float, a: float, tol: float) -> None:
+    """Raise the error critical_length gives for these arguments before any work."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    for name, value in (("d1", d1), ("a", a)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (0.0 < a < d1):
+        raise RegimeError(
+            f"critical length requires 0 < a < d1; got a={a}, d1={d1} "
+            "(eigenvalue never changes sign)"
+        )
+
+
 def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> CriticalLengthResult:
     """Interval length at which the principal eigenvalue of the dispersal
     operator plus constant rate a crosses zero.
@@ -257,16 +271,7 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
     lambda_p runs only once the bracket is under tol, for the stop test
     |lambda_p| < 1e-6 and the reported eigenvalue.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    for name, value in (("d1", d1), ("a", a)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (0.0 < a < d1):
-        raise RegimeError(
-            f"critical length requires 0 < a < d1; got a={a}, d1={d1} "
-            "(eigenvalue never changes sign)"
-        )
+    check_critical_length_args(d1, a, tol)
     radius = kernel.radius
     ell_max = _ELL_MAX_RADII * radius
     spacing = radius / 10.0

@@ -1,11 +1,12 @@
 """File emission: CSV tables and JSON records.
 
-Every float is written with 17 significant digits so round-tripping the
-text reproduces the exact double; writes go to a temp file in the target
-directory followed by an atomic rename, so no emitted file is ever
-partially written.  The JSON serializer is local because the stdlib
-encoder offers no control over float formatting; NaN/inf (invalid JSON)
-map to null.
+JSON records go through the standard encoder: `json` writes a float with
+`float.__repr__`, the shortest text that reads back as the same double,
+so a record round-trips bit for bit without a local encoder.  NaN and
+inf, which are not JSON, are written as null.  CSV cells keep 17
+significant digits, so a table's text stays as it was.  Writes go to a
+temp file in the target directory followed by an atomic rename, so no
+emitted file is ever partially written.
 """
 
 from __future__ import annotations
@@ -22,41 +23,19 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _json_fragment(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(fmt_float(value) if math.isfinite(value) else "null")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple, dict)):
-        if isinstance(value, dict):
-            brackets, entries = "{}", ((json.dumps(str(key)) + ": ", item) for key, item in value.items())
-        else:
-            brackets, entries = "[]", (("", item) for item in value)
-        if not value:
-            out.append(brackets)
-            return
-        out.append(brackets[0] + "\n")
-        for i, (prefix, item) in enumerate(entries):
-            out.append(pad + "  " + prefix)
-            _json_fragment(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + brackets[1])
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+def _finite(value):
+    """value with every NaN and inf inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def dumps_json(value) -> str:
-    out: list = []
-    _json_fragment(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(_finite(value), indent=2) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -301,14 +301,17 @@ def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
     assert err["message"].startswith(f"cannot read config file {path}: ")
 
 
-@pytest.mark.parametrize("command", ["eigen", "simulate"])
-def test_out_dir_that_cannot_be_made_exit_code(tmp_path, capsys, command):
-    # a file where the output directory should go is a usage error, for a
-    # flag command and a config command alike
+@pytest.mark.parametrize("command", ["eigen", "critical-length", "simulate"])
+def test_out_dir_that_cannot_be_made_exit_code(tmp_path, capsys, monkeypatch, command):
+    # a file where the output directory should go is a usage error, for the
+    # flag commands and a config command alike, found before any computation
+    for name in ("lambda_p", "critical_length", "run"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
     blocker = tmp_path / "F"
     blocker.write_text("x")
     head = {
-        "eigen": ["eigen", "--d", "1", "--theta0", "0.5", "--length", "4"],
+        "eigen": ["eigen", "--d", "1", "--theta0", "0.5", "--length", "2000"],
+        "critical-length": ["critical-length", "--d1", "1", "--a", "0.5"],
         "simulate": ["simulate", "--config", _write(tmp_path, BASE)],
     }[command]
     assert main(head + ["--out-dir", str(blocker)]) == EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Serialization fidelity: 17-digit floats, atomic writes, CSV shapes."""
+"""Serialization fidelity: exact floats in JSON and 17-digit CSV cells, atomic writes, CSV shapes."""
 
 import json
 import math
@@ -36,6 +36,20 @@ def test_dumps_json_formats():
     assert parsed["b"] == [1, 2.5]
     assert parsed["c"] is None
     assert parsed["flag"] is True
+
+
+def test_dumps_json_reads_back_bit_for_bit():
+    floats = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 200.0, np.float64(2.0 / 3.0)]
+    nonfinite = [float("nan"), float("inf"), -float("inf")]
+    record = {"floats": floats, "int": 7, "nested": [(1.5, [2.0]), {"k": (-0.0,)}], "nonfinite": nonfinite}
+    parsed = json.loads(dumps_json(record))
+    assert [val.hex() for val in parsed["floats"]] == [float(val).hex() for val in floats]
+    assert all(type(val) is float for val in parsed["floats"])  # 200.0 stays a float
+    assert parsed["int"] == 7 and type(parsed["int"]) is int
+    assert parsed["nested"] == [[1.5, [2.0]], {"k": [-0.0]}]
+    assert parsed["nested"][1]["k"][0].hex() == "-0x0.0p+0"
+    assert type(parsed["nested"][0][1][0]) is float
+    assert parsed["nonfinite"] == [None, None, None]
 
 
 def test_dumps_json_nonfinite_to_null():

@@ -145,7 +145,6 @@ def test_domination_requires_snapshots():
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason="ROADMAP item 5: recorded at every step, the criterion-09 run passes the "
     "competition barrier's front, h - hbar = 2.74e-6 against a tol of 1e-6",
