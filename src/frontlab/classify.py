@@ -392,18 +392,17 @@ def estimate_threshold(
     p: ModelParams,
     init: InitialData,
     k: Kernel,
-    ray: tuple[float, float] = (0.5, 0.5),
     ctrl: ScanControl | None = None,
 ) -> ThresholdEstimate:
-    """Bracket the front-budget threshold along the ray (mu, rho) =
-    s*(mu_hat, rho_hat).
+    """Bracket the front-budget threshold along the ray through the
+    model's own (mu, rho): ray = (mu, rho)/(mu + rho), and scale s runs
+    (mu, rho) = s*ray, whose budget mu + rho is s.
 
-    mu and rho on the incoming parameters are ignored.  Requires a < d1
-    and h0 < half of min{pi*sqrt(d2), critical length}: otherwise
-    spreading is unconditional and no threshold exists.  A geometric scan
-    locates Vanishing and Spreading scales, then bisection in log scale
-    tightens the bracket at its geometric midpoint until upper/lower <=
-    1.5 or a probe comes back Undecided.  On one CPU each round probes
+    Requires a < d1 and h0 < half of min{pi*sqrt(d2), critical length}:
+    otherwise spreading is unconditional and no threshold exists.  A
+    geometric scan locates Vanishing and Spreading scales, then bisection
+    in log scale tightens the bracket at its geometric midpoint until
+    upper/lower <= 1.5 or a probe comes back Undecided.  On one CPU each round probes
     that midpoint alone.  On more than one, where child processes start
     by fork (_fork_cpus), the grid and each round are dealt to children by
     _classify_at_scales, and each round probes the up to 7 midpoints of
@@ -415,11 +414,7 @@ def estimate_threshold(
     monotone_flag reports what the scan actually saw.
     """
     ctrl = ctrl or ScanControl()
-    mu_hat, rho_hat = ray
-    if mu_hat < 0 or rho_hat < 0 or mu_hat + rho_hat <= 0:
-        raise ValueError(f"ray must be nonnegative with positive sum, got {ray}")
-    total = mu_hat + rho_hat
-    ray = (mu_hat / total, rho_hat / total)
+    ray = (p.mu / (p.mu + p.rho), p.rho / (p.mu + p.rho))
 
     if not (p.a < p.d1):
         raise RegimeError(f"threshold undefined: a={p.a} >= d1={p.d1} spreads unconditionally")

@@ -151,7 +151,7 @@ def cmd_classify(args) -> int:
 
 def cmd_threshold(args) -> int:
     cfg, outdir = _load(args)
-    est = estimate_threshold(cfg.model, cfg.init_data(), cfg.kernel, ray=cfg.ray, ctrl=cfg.scan)
+    est = estimate_threshold(cfg.model, cfg.init_data(), cfg.kernel, ctrl=cfg.scan)
     record = {
         "command": "threshold",
         "ray": list(est.ray),
@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_config_cmd("simulate", cmd_simulate, "integrate one run and emit trajectory files")
     add_config_cmd("classify", cmd_classify, "simulate, then report a spreading/vanishing verdict")
-    add_config_cmd("threshold", cmd_threshold, "bracket the front-budget threshold along a ray")
+    add_config_cmd(
+        "threshold", cmd_threshold, "bracket the front-budget threshold along the ray through (model.mu, model.rho)"
+    )
     sweep_cmd = add_config_cmd("sweep", cmd_sweep, "classify every cell of a parameter grid")
     sweep_cmd.add_argument(
         "--workers",

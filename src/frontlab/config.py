@@ -118,8 +118,6 @@ _SCHEMA = {
     "numerics.horizon": (_positive, 100.0),
     "numerics.record_every": (_number(int, 1), _FIELD),
     "numerics.snapshot_every": (_number(int, 0), _FIELD),
-    "threshold.ray_mu": (_number(float, 0), 0.5),
-    "threshold.ray_rho": (_number(float, 0), 0.5),
     "threshold.s_min": (_positive, _FIELD),
     "threshold.s_max": (_positive, _FIELD),
     "threshold.points": (_number(int, 2), _FIELD),
@@ -163,7 +161,6 @@ class RunConfig:
     amp_v: float
     numerics: RunControl
     scan: ScanControl
-    ray: tuple[float, float]
     h1: Optional[float]
     sweep_axes: dict
     formats: str
@@ -212,8 +209,6 @@ def parse_config(text: str) -> RunConfig:
             f"threshold.s_min must be < threshold.s_max; got "
             f"{resolved['threshold.s_min']} >= {resolved['threshold.s_max']}"
         )
-    if resolved["threshold.ray_mu"] + resolved["threshold.ray_rho"] <= 0:
-        raise ConfigError("threshold.ray_mu + threshold.ray_rho must be positive")
 
     sweep_axes = {
         axis: resolved[f"sweep.{axis}"] for axis in SWEEP_AXES if resolved[f"sweep.{axis}"] is not None
@@ -226,7 +221,6 @@ def parse_config(text: str) -> RunConfig:
         amp_v=resolved["init.amp_v"],
         numerics=_build_section("numerics", resolved),
         scan=_build_section("threshold", resolved),
-        ray=(resolved["threshold.ray_mu"], resolved["threshold.ray_rho"]),
         h1=resolved["supersolution.h1"],
         sweep_axes=sweep_axes,
         formats=resolved["output.formats"],

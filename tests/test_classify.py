@@ -249,14 +249,6 @@ def test_threshold_preconditions():
     assert "pi*sqrt(d2)" in msg and "critical length" in msg
 
 
-def test_threshold_bad_ray():
-    init = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
-    with pytest.raises(ValueError):
-        estimate_threshold(_params(), init, TENT, ray=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        estimate_threshold(_params(), init, TENT, ray=(-0.5, 1.0))
-
-
 def test_threshold_all_undecided_inconclusive():
     init = InitialData.cosine(h0=0.25, amp_u=1e-2, amp_v=1e-2)
     ctrl = ScanControl(s_min=1e-8, s_max=1e-7, points=2, horizon=3.0, n=64)
@@ -312,14 +304,17 @@ def test_solver_failure_at_a_scale_is_undecided_without_retry(monkeypatch):
     assert calls == [(1, None)]  # one dt = auto attempt
 
 
-def _fake_scan(monkeypatch, grid_verdicts, probe_verdict, cpus=None) -> list:
+def _fake_scan(monkeypatch, grid_verdicts, probe_verdict, cpus=None, rays=None) -> list:
     """Give estimate_threshold made-up verdicts: grid_verdicts for its grid,
     then probe_verdict(s) for each bisection probe s, on cpus CPUs if given.
-    Returns the list of scale lists it asks for, the grid first."""
+    Returns the list of scale lists it asks for, the grid first, and
+    appends the ray of each call to rays if given."""
     calls = []
 
     def fake(p, init, k, scales, ray, ctrl, cpus=1):
         calls.append(list(scales))
+        if rays is not None:
+            rays.append(ray)
         if len(calls) == 1:
             assert len(scales) == len(grid_verdicts)
             return list(grid_verdicts)
@@ -332,6 +327,21 @@ def _fake_scan(monkeypatch, grid_verdicts, probe_verdict, cpus=None) -> list:
 
 
 _SCAN_INIT = InitialData.cosine(h0=0.25, amp_u=1e-3, amp_v=1e-3)
+
+
+def test_scan_runs_along_the_ray_through_the_models_mu_and_rho(monkeypatch):
+    # (1, 3) and (2, 6) lie on one ray, so their scans are the same
+    estimates = []
+    for mu, rho in ((1.0, 3.0), (2.0, 6.0)):
+        rays = []
+        _fake_scan(
+            monkeypatch, [VANISHING, SPREADING], lambda s: VANISHING if s < 17.07 else SPREADING, cpus=1, rays=rays
+        )
+        estimates.append(estimate_threshold(_params(mu=mu, rho=rho), _SCAN_INIT, TENT, ctrl=ScanControl(points=2)))
+        assert len(rays) > 1 and set(rays) == {(0.25, 0.75)}
+    assert estimates[0] == estimates[1]
+    assert estimates[0].ray == (0.25, 0.75)
+    assert estimates[0].lower < 17.07 <= estimates[0].upper
 
 
 def _tree(lower: float, upper: float, levels: int) -> set:

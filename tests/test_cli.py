@@ -207,6 +207,15 @@ def test_threshold_command(tmp_path):
     assert all(len(pair) == 2 for pair in record["scanned"])
 
 
+def test_threshold_scans_along_the_models_mu_and_rho(tmp_path):
+    text = THRESHOLD_CFG.replace("model.mu = 0.5", "model.mu = 1").replace("model.rho = 0.5", "model.rho = 3")
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == EXIT_OK
+    record = json.loads((out / "threshold.json").read_text())
+    assert record["ray"] == [0.25, 0.75]
+    assert 0.0 < record["lower"] <= record["upper"]
+
+
 def test_sweep_command(tmp_path):
     cfg = _write(tmp_path, BASE + "sweep.a = 0.5, 1.0\nsweep.mu = 0.001, 1.0\n")
     out = tmp_path / "out"
@@ -338,6 +347,8 @@ def test_unknown_key_exit_code(tmp_path):
         "threshold.max_bisect",
         "sweep.workers",
         "output.directory",
+        "threshold.ray_mu",
+        "threshold.ray_rho",
     ],
 )
 def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):

@@ -33,7 +33,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.numerics.horizon == 100.0
     assert cfg.kernel.family == "tent" and cfg.kernel.radius == 1.0
     assert cfg.formats == "csv,json"
-    assert cfg.ray == (0.5, 0.5)
     assert cfg.h1 is None
     assert cfg.sweep_axes == {}
     # the section defaults are the dataclasses' own
@@ -112,8 +111,6 @@ def test_scan_cross_validation():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "threshold.s_min = 10\nthreshold.s_max = 1\n")
     assert "s_min" in str(err.value)
-    with pytest.raises(ConfigError):
-        parse_config(MINIMAL + "threshold.ray_mu = 0\nthreshold.ray_rho = 0\n")
 
 
 def test_sweep_axes_parsing():
@@ -166,7 +163,6 @@ def test_load_config_missing_file(tmp_path):
     [
         ("init.amp_u", "x", "not a number: 'x'"),
         ("init.amp_u", "-0.0", "must be > 0, got -0.0"),
-        ("threshold.ray_mu", "-1e-3", "must be >= 0, got -1e-3"),
         ("numerics.n", "8.0", "not an integer: '8.0'"),
         ("numerics.n", "07", "must be >= 8, got 7"),
         ("numerics.snapshot_every", "-1", "must be >= 0, got -1"),

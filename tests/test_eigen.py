@@ -583,6 +583,16 @@ def test_stalled_bisection_names_bracket_and_last_eigenvalue(monkeypatch):
         critical_length(1.0, 0.5, TENT)
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 4: tol only decides when lambda_p first runs; the |lambda_p| < 1e-6 stop "
+    "sets the bracket, so tol = 0.3 gives the default-tol result, bracket width 6.1e-6",
+)
+def test_looser_tol_gives_a_wider_critical_length_bracket():
+    lo, hi = critical_length(1.0, 0.5, Kernel("parabolic_bump"), tol=0.3).bracket
+    assert hi - lo > 1e-4
+
+
 def test_critical_length_decreases_with_rate():
     slow = critical_length(1.0, 0.3, TENT).ell_star
     fast = critical_length(1.0, 0.6, TENT).ell_star

@@ -6,7 +6,11 @@ import os
 import re
 import types
 
+import pytest
+
 import frontlab
+from frontlab import cli
+from frontlab.config import parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,13 +41,13 @@ def test_star_import_binds_no_module_and_no_internal_name():
     assert not internal & bound.keys()
 
 
-def _readme_python_blocks() -> list:
+def _readme_blocks(language: str) -> list:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        return re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), flags=re.S)
 
 
 def test_readme_quick_start_imports_are_public():
-    blocks = _readme_python_blocks()
+    blocks = _readme_blocks("python")
     imported = {
         alias.name
         for block in blocks
@@ -56,9 +60,20 @@ def test_readme_quick_start_imports_are_public():
 
 
 def test_readme_quick_start_runs_as_written(capsys):
-    blocks = _readme_python_blocks()
+    blocks = _readme_blocks("python")
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     # at a = 0.8 the 2.0-long start already exceeds ell* = 0.216
     assert capsys.readouterr().out == "Spreading LengthExceedsEllStar\n"
+
+
+@pytest.mark.parametrize("command", ["threshold", "supersolution-check"])
+def test_readme_cli_quick_start_config_runs_as_written(tmp_path, command):
+    # the run.cfg block is a valid config on which the threshold scan and
+    # the barrier check are defined (h0 < ell*/2)
+    (block,) = _readme_blocks("ini")
+    parse_config(block)
+    path = tmp_path / "run.cfg"
+    path.write_text(block)
+    assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
