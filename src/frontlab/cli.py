@@ -25,7 +25,7 @@ from .classify import _run_classified, classify, estimate_threshold, make_dichot
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, check_critical_length_args, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
-from .kernels import Kernel
+from .kernels import KNOWN_FAMILIES, Kernel
 from .output import (
     atomic_write_text,
     dumps_json,
@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     def add_kernel_tail(cmd, func):  # Kernel(family, radius)'s flags first
-        cmd.add_argument("--family", default="tent")
-        cmd.add_argument("--radius", type=float, default=1.0)
+        cmd.add_argument("--family", default="tent", help=f"one of {', '.join(KNOWN_FAMILIES)} (default: tent)")
+        cmd.add_argument("--radius", type=float, default=1.0, help="kernel support radius (default: 1.0)")
         add_tail(cmd, func)
 
     add_config_cmd("simulate", cmd_simulate, "integrate one run and emit trajectory files")
@@ -294,16 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     eig = sub.add_parser("eigen", help="principal eigenvalue on an interval")
-    eig.add_argument("--d", type=float, required=True)
-    eig.add_argument("--theta0", type=float, required=True)
-    eig.add_argument("--length", type=float, required=True)
-    eig.add_argument("--n", type=int, default=None)
+    eig.add_argument("--d", type=float, required=True, help="dispersal rate d, the factor of the nonlocal operator")
+    eig.add_argument("--theta0", type=float, required=True, help="constant rate added to the dispersal operator")
+    eig.add_argument("--length", type=float, required=True, help="length L of the interval (0, L)")
+    eig.add_argument("--n", type=int, default=None, help="collocation nodes (default: spacing radius/8)")
     add_kernel_tail(eig, cmd_eigen)
 
     crit = sub.add_parser("critical-length", help="length at which the eigenvalue crosses zero")
-    crit.add_argument("--d1", type=float, required=True)
-    crit.add_argument("--a", type=float, required=True)
-    crit.add_argument("--tol", type=float, default=1e-4)
+    crit.add_argument("--d1", type=float, required=True, help="dispersal rate of u; needs 0 < a < d1")
+    crit.add_argument("--a", type=float, required=True, help="growth rate of u; needs 0 < a < d1")
+    crit.add_argument(
+        "--tol",
+        type=float,
+        default=1e-4,
+        help="bracket width at which lambda_p is first computed (default: 1e-4); |lambda_p| < 1e-6 sets ell_star",
+    )
     add_kernel_tail(crit, cmd_critical_length)
 
     return parser

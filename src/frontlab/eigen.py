@@ -308,13 +308,9 @@ def critical_length(d1: float, a: float, kernel: Kernel, tol: float = 1e-4) -> C
 
     # frozen node count: the finest the bracket needs
     n_fix = n_for(hi)
-    # re-evaluation at the common grid may nudge the endpoint signs
+    # lo's sign came from a coarser grid, so check it again at n_fix; hi's came from n_for(hi) = n_fix
     while not below(lo, n_fix):
         lo *= 0.5
-    while below(hi, n_fix):
-        hi *= 2.0
-        if hi > ell_max:
-            raise RegimeError(f"no sign change found below ell_max={ell_max:.3g}")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

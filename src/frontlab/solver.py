@@ -465,13 +465,10 @@ class _Recorder:
 
     def add(self, s: State, gdot: float, hdot: float, sups: tuple[float, float]) -> None:
         """Record s with its front speeds and its fields' maxima sups = (sup_u, sup_v)."""
-        # physical center x=0 pulled back to the reference frame
+        # physical center x=0 pulled back to the reference frame, inside [-1, 1] as g < 0 < h
         y0 = -(s.g + s.h) / (s.h - s.g)
-        if -1.0 <= y0 <= 1.0:
-            y = reference_grid(len(s.w) - 1)[0]
-            centers = (float(np.interp(y0, y, s.w)), float(np.interp(y0, y, s.z)))
-        else:
-            centers = (0.0, 0.0)
+        y = reference_grid(len(s.w) - 1)[0]
+        centers = (float(np.interp(y0, y, s.w)), float(np.interp(y0, y, s.z)))
         row = (s.t, s.g, s.h, gdot, hdot) + sups + centers
         for name, value in zip(TRAJECTORY_COLUMNS, row):
             getattr(self, name).append(value)

@@ -6,21 +6,17 @@ budget mu+rho stays below the computed admissible value.  Everything is
 in closed form: the only numerical ingredient is the principal eigenpair
 on the enclosing interval (-h1, h1).
 
-Competition case:  ubar = C*exp(lam*t/2)*phi(x) rides the eigenfunction,
-vbar = K*exp(-sigma*t)*cos(pi*x/(2*s(t))) rides a widening cosine with
-s(t) = h0*(1+2*delta-delta*exp(-sigma*t)), and hbar integrates the two
-front-law contributions of (ubar, vbar) exactly.
-
-Predation case: both species decay at a common rate gamma, the cosine
-scale is tied to hbar itself plus a fixed margin eps, and hbar relaxes
-exponentially to h0 + (theta+delta)/gamma.
+Both kinds share one shape, ubar = amp_u(t)*phi(x) on the eigenfunction
+phi, vbar = amp_v(t)*cos(pi*x/(2*s(t))) and gbar = -hbar.  Each kind's
+recipe (_competition, _predation) defines its whole barrier: amp_u, amp_v,
+s(t), hbar(t), the bound on hbar(infinity) and the admissible budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,67 +42,35 @@ class SuperSolutionSpec:
     lam: float  # principal eigenvalue on (-h1, h1) with potential a; < 0
     budget: float  # admissible mu+rho for the domination guarantee
     constants: dict
+    hbar_limit_bound: float  # upper bound on hbar(infinity); must stay <= h1 under the budget
     phi_x: np.ndarray
     phi_samples: np.ndarray
+    # the recipe's barrier, each a function of the time array t
+    _amp_u: Callable
+    _amp_v: Callable
+    _s: Callable
+    _hbar: Callable
 
     def phi(self, x):
         return np.interp(x, self.phi_x, self.phi_samples)
 
     def s(self, t):
         """Scale of the cosine barrier for vbar."""
-        if self.case == "competition":
-            delta, sigma = self.constants["delta"], self.constants["sigma"]
-            return self.h0 * (1.0 + 2.0 * delta - delta * np.exp(-sigma * np.asarray(t, dtype=float)))
-        return self.hbar(t) + self.constants["eps"]
+        return self._s(np.asarray(t, dtype=float))
 
     def ubar(self, t, x):
-        t = np.asarray(t, dtype=float)
-        if self.case == "competition":
-            return self.constants["C"] * np.exp(0.5 * self.lam * t) * self.phi(x)
-        cst = self.constants
-        return cst["sigma"] * cst["k"] * np.exp(-cst["gamma"] * t) * self.phi(x)
+        return self._amp_u(np.asarray(t, dtype=float)) * self.phi(x)
 
     def vbar(self, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if self.case == "competition":
-            amp = self.constants["K"] * np.exp(-self.constants["sigma"] * t)
-        else:
-            amp = self.constants["k"] * np.exp(-self.constants["gamma"] * t)
-        return amp * np.cos(0.5 * math.pi * x / self.s(t))
+        return self._amp_v(t) * np.cos(0.5 * math.pi * x / self._s(t))
 
     def hbar(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.case == "competition":
-            delta, sigma, K, C = (self.constants[key] for key in ("delta", "sigma", "K", "C"))
-            local = (
-                self.mu
-                * math.pi
-                * K
-                / (2.0 * sigma * self.h0 * delta)
-                * np.log((1.0 + 2.0 * delta - delta * np.exp(-sigma * t)) / (1.0 + delta))
-            )
-            nonlocal_ = 4.0 * self.rho * C * self.h1 / self.lam * (np.exp(0.5 * self.lam * t) - 1.0)
-            return self.h0 + local + nonlocal_
-        cst = self.constants
-        rate = (cst["theta"] + cst["delta"]) / cst["gamma"]
-        return self.h0 + rate * (1.0 - np.exp(-cst["gamma"] * t))
+        return self._hbar(np.asarray(t, dtype=float))
 
     def gbar(self, t):
         return -self.hbar(t)
-
-    @property
-    def hbar_limit_bound(self) -> float:
-        """Upper bound on hbar(infinity); must stay <= h1 under the budget."""
-        if self.case == "competition":
-            delta, sigma, K, C = (self.constants[key] for key in ("delta", "sigma", "K", "C"))
-            return (
-                self.h0
-                + self.mu * math.pi * K / (2.0 * sigma * self.h0 * (1.0 + delta))
-                - 4.0 * self.rho * C * self.h1 / self.lam
-            )
-        cst = self.constants
-        return self.h0 + (cst["theta"] + cst["delta"]) / cst["gamma"]
 
 
 def _ratio_max(numer, denom_vals: np.ndarray, probe: np.ndarray) -> float:
@@ -116,14 +80,17 @@ def _ratio_max(numer, denom_vals: np.ndarray, probe: np.ndarray) -> float:
     return float(np.max(vals / denom_vals))
 
 
-def _competition(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
-    """Competition recipe, returning (budget, constants).
+def _competition(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict, dict]:
+    """Competition recipe, returning (budget, constants, barrier).
 
-    C is u_ratio, the smallest multiple of phi sitting above u0; delta
-    keeps the widened cosine inside the stability window; sigma stays
-    below the cosine's decay margin; K lifts the cosine above v0.  The
-    budget is Lambda0 = min{h1-h0, delta*h0}/m with m the larger of the
-    two front-motion coefficients.
+    amp_u = C*exp(lam*t/2) and amp_v = K*exp(-sigma*t); the cosine widens
+    as s(t) = h0*(1+2*delta-delta*exp(-sigma*t)), and hbar integrates the
+    two front-law contributions of (ubar, vbar) exactly.  C is u_ratio,
+    the smallest multiple of phi sitting above u0; delta keeps the widened
+    cosine inside the stability window; sigma stays below the cosine's
+    decay margin; K lifts the cosine above v0.  The budget is Lambda0 =
+    min{h1-h0, delta*h0}/m with m the larger of the two front-motion
+    coefficients.
     """
     h0 = init.h0
     q = 0.5 * math.pi * math.sqrt(p.d2) / h0  # > 1 by precondition
@@ -138,15 +105,35 @@ def _competition(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
 
     m = max(math.pi * K / (2.0 * sigma * h0 * (1.0 + delta)), -4.0 * u_ratio * h1 / lam)
     budget = min(h1 - h0, delta * h0) / m
-    return budget, {"C": u_ratio, "K": K, "delta": delta, "sigma": sigma, "m": m}
+
+    def widening(t):  # s(t)/h0, from 1+delta at t = 0 up to 1+2*delta
+        return 1.0 + 2.0 * delta - delta * np.exp(-sigma * t)
+
+    def hbar(t):
+        local = p.mu * math.pi * K / (2.0 * sigma * h0 * delta) * np.log(widening(t) / (1.0 + delta))
+        nonlocal_ = 4.0 * p.rho * u_ratio * h1 / lam * (np.exp(0.5 * lam * t) - 1.0)
+        return h0 + local + nonlocal_
+
+    hbar_limit = h0 + p.mu * math.pi * K / (2.0 * sigma * h0 * (1.0 + delta)) - 4.0 * p.rho * u_ratio * h1 / lam
+    barrier = dict(
+        _amp_u=lambda t: u_ratio * np.exp(0.5 * lam * t),
+        _amp_v=lambda t: K * np.exp(-sigma * t),
+        _s=lambda t: h0 * widening(t),
+        _hbar=hbar,
+        hbar_limit_bound=hbar_limit,
+    )
+    return budget, {"C": u_ratio, "K": K, "delta": delta, "sigma": sigma, "m": m}, barrier
 
 
-def _predation(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
-    """Predation recipe, returning (budget, constants).
+def _predation(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict, dict]:
+    """Predation recipe, returning (budget, constants, barrier).
 
-    eps is a third of the gap between h0 and (pi/2)*sqrt(d2); sigma obeys
-    c*sigma <= cos(pi*h1/(2*(h1+eps))); k lifts both barriers above the
-    data; gamma is half the weaker of the two decay margins.
+    Both species decay at a common rate gamma, the cosine's half-width is
+    hbar itself plus a fixed margin eps, and hbar relaxes exponentially
+    to h0 + (theta+delta)/gamma.  eps is a third of the gap between h0
+    and (pi/2)*sqrt(d2); sigma obeys c*sigma <= cos(pi*h1/(2*(h1+eps)));
+    k lifts both barriers above the data; gamma is half the weaker of the
+    two decay margins.
     """
     h0 = init.h0
     eps = (0.5 * math.pi * math.sqrt(p.d2) - h0) / 3.0
@@ -167,7 +154,20 @@ def _predation(p, init, h1, lam, probe, u_ratio) -> tuple[float, dict]:
     x_max = 0.5 * math.pi * math.sqrt(p.d2 / (gamma + 1.0)) - h0 - eps
     budget = gamma * min(h1 - h0, x_max) / m2
     constants = {"k": k_amp, "sigma": sigma, "gamma": gamma, "theta": theta, "delta": delta, "eps": eps}
-    return budget, constants
+
+    rate = (theta + delta) / gamma
+
+    def hbar(t):
+        return h0 + rate * (1.0 - np.exp(-gamma * t))
+
+    barrier = dict(
+        _amp_u=lambda t: sigma * k_amp * np.exp(-gamma * t),
+        _amp_v=lambda t: k_amp * np.exp(-gamma * t),
+        _s=lambda t: hbar(t) + eps,
+        _hbar=hbar,
+        hbar_limit_bound=h0 + rate,
+    )
+    return budget, constants, barrier
 
 
 _RECIPES = {"competition": _competition, "predation": _predation}
@@ -180,9 +180,10 @@ def build_vanishing_supersolution(
 
     The kind's recipe turns lam, the principal eigenvalue on (-h1, h1),
     and u_ratio, the smallest multiple of its eigenfunction phi above u0,
-    into the admissible budget and the constants.  h1 defaults to
-    (h0 + ell*/2)/2, halfway between h0 and half the critical length.
-    An h0 no run can start from is rejected first, as the run would.
+    into the admissible budget, the constants and the barrier.  h1
+    defaults to (h0 + ell*/2)/2, halfway between h0 and half the
+    critical length.  An h0 no run can start from is rejected first, as
+    the run would.
     """
     h0 = init.h0
     check_h0(h0)
@@ -212,10 +213,10 @@ def build_vanishing_supersolution(
 
     probe = np.linspace(-h0, h0, _PROBE_POINTS)
     u_ratio = _ratio_max(init.u0, np.interp(probe, eig.x, eig.eigenfunction), probe)
-    budget, constants = _RECIPES[p.kind](p, init, h1, lam, probe, u_ratio)
+    budget, constants, barrier = _RECIPES[p.kind](p, init, h1, lam, probe, u_ratio)
     return SuperSolutionSpec(
         case=p.kind, mu=p.mu, rho=p.rho, h0=h0, h1=h1, lam=lam, budget=budget,
-        constants=constants, phi_x=eig.x, phi_samples=eig.eigenfunction,
+        constants=constants, phi_x=eig.x, phi_samples=eig.eigenfunction, **barrier,
     )
 
 

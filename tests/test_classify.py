@@ -448,6 +448,14 @@ def test_scan_brackets_the_last_vanishing_spreading_pair(monkeypatch):
     assert [v for s, v in est.scanned if s < est.lower][:3] == [VANISHING, SPREADING, VANISHING]
 
 
+def test_scan_without_vanishing_below_spreading_is_inconclusive(monkeypatch):
+    # the grid's only Vanishing scale lies above its only Spreading one
+    calls = _fake_scan(monkeypatch, [SPREADING, VANISHING], lambda s: VANISHING)
+    with pytest.raises(InconclusiveError, match="Vanishing verdicts only occurred above Spreading ones"):
+        estimate_threshold(_params(), _SCAN_INIT, TENT, ctrl=ScanControl(points=2))
+    assert len(calls) == 1  # no bisection probe
+
+
 def _sweep_config(axes: str, horizon: float = 20.0, family: str = "tent"):
     """The _params() model on a kernel of the given family, plus the given sweep.* lines."""
     return parse_config(
@@ -493,6 +501,22 @@ def test_sweep_deterministic_across_worker_counts():
     for workers in (2, 3):
         assert phase_csv(sweep(cfg, workers=workers)) == serial
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "axis, values, first",
+    [
+        ("d1", (0.4, 1.0), CERT_A_RATE),  # a = 0.5 >= d1 spreads whatever the budget
+        ("d2", (0.01, 1.0), CERT_PI_SQRT_D2),  # 2*h0 = 0.5 already exceeds pi*sqrt(d2)
+    ],
+)
+def test_sweep_over_a_dispersal_rate(axis, values, first):
+    table = sweep(_sweep_config(f"sweep.{axis} = {values[0]}, {values[1]}\n", horizon=5.0))
+    assert [row[axis] for row in table.rows] == list(values)
+    assert [(row["verdict"], row["certificate"]) for row in table.rows] == [
+        (SPREADING, first),
+        (VANISHING, CERT_PLATEAU),
+    ]
 
 
 def _record_starts(monkeypatch) -> list:

@@ -2,6 +2,7 @@
 README and the CLI use, and no submodule."""
 
 import ast
+import json
 import os
 import re
 import types
@@ -77,3 +78,8 @@ def test_readme_cli_quick_start_config_runs_as_written(tmp_path, command):
     path = tmp_path / "run.cfg"
     path.write_text(block)
     assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+    if command == "threshold":
+        # the block's threshold.horizon lets the near-threshold probes
+        # decide, so the scan refines its bracket to its 1.5 target
+        record = json.loads((tmp_path / "out" / "threshold.json").read_text())
+        assert record["upper"] / record["lower"] <= 1.5
