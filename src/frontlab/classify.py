@@ -189,6 +189,20 @@ class ScanControl:
     horizon: float = 80.0
     n: int = 120
 
+    def __post_init__(self):
+        if not (math.isfinite(self.s_min) and self.s_min > 0):
+            raise ValueError(f"s_min must be positive and finite, got {self.s_min!r}")
+        if not math.isfinite(self.s_max):
+            raise ValueError(f"s_max must be finite, got {self.s_max!r}")
+        if not self.s_min < self.s_max:
+            raise ValueError(f"s_min must be < s_max; got {self.s_min!r} >= {self.s_max!r}")
+        if self.points < 2:
+            raise ValueError(f"points must be at least 2, got {self.points}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if self.n < 8:
+            raise ValueError(f"n must be at least 8, got {self.n}")
+
 
 @dataclass
 class ThresholdEstimate:

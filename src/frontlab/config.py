@@ -204,11 +204,10 @@ def parse_config(text: str) -> RunConfig:
         key: values.get(key, None if default is _REQUIRED else default) for key, default in _DEFAULTS.items()
     }
 
-    if resolved["threshold.s_min"] >= resolved["threshold.s_max"]:
-        raise ConfigError(
-            f"threshold.s_min must be < threshold.s_max; got "
-            f"{resolved['threshold.s_min']} >= {resolved['threshold.s_max']}"
-        )
+    try:
+        scan = _build_section("threshold", resolved)
+    except ValueError as exc:  # ScanControl's check across keys: each key alone passed its parser
+        raise ConfigError(f"threshold.{exc}") from None
 
     sweep_axes = {
         axis: resolved[f"sweep.{axis}"] for axis in SWEEP_AXES if resolved[f"sweep.{axis}"] is not None
@@ -220,7 +219,7 @@ def parse_config(text: str) -> RunConfig:
         amp_u=resolved["init.amp_u"],
         amp_v=resolved["init.amp_v"],
         numerics=_build_section("numerics", resolved),
-        scan=_build_section("threshold", resolved),
+        scan=scan,
         h1=resolved["supersolution.h1"],
         sweep_axes=sweep_axes,
         formats=resolved["output.formats"],

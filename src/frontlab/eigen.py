@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _scipy
 from .errors import ConvergenceError, RegimeError
-from .kernels import Kernel, nonlocal_apply, offset_samples, support_offsets, trapezoid_weights
+from .kernels import Kernel, kernel_taps, nonlocal_apply, support_offsets, trapezoid_weights
 
 # sup-norm tolerance on the normalized iterate between solves
 _VEC_TOL = 1e-12
@@ -148,7 +148,7 @@ def _shifted_band(prob: EigenProblem, sqrt_w: np.ndarray, sigma: float) -> np.nd
     diagonal of S, d*J(m*spacing)*sqrt(w_i*w_{i+m}), for m <= b inside the support."""
     h, n, k = prob.spacing, prob.n, prob.kernel
     b = support_offsets(k, h, n)
-    taps = prob.d * offset_samples(k, h, b)[:, None]  # row m: offset m
+    taps = prob.d * kernel_taps(k, h, b)[b:, None]  # row m: offset m
     # row m of the view is padded[m:m+n], so column i holds sqrt_w[i+m];
     # the -0.0 padding leaves +0.0 in the unused columns i >= n-m, as the
     # taps are nonnegative

@@ -102,18 +102,13 @@ def support_offsets(k: Kernel, spacing: float, nodes: int) -> int:
     return min(nodes - 1, math.floor(k.radius / spacing))
 
 
-def offset_samples(k: Kernel, spacing, m: int) -> np.ndarray:
-    """J at the m+1 offsets j*spacing, j = 0..m: shape (m+1,) for a float
-    spacing, (B, m+1) for a (B, 1) column of spacings.  Each entry is
-    J(j*spacing) whatever the shape, as every operation is elementwise."""
-    return k(np.arange(m + 1) * spacing)
-
-
 def kernel_taps(k: Kernel, spacing, m: int) -> np.ndarray:
-    """J at the 2m+1 offsets j*spacing, j = -m..m, shaped as
-    offset_samples.  J is even and (-j)*spacing = -(j*spacing) exactly, so
-    the offset_samples at j >= 0 are mirrored."""
-    half = offset_samples(k, spacing, m)
+    """J at the 2m+1 offsets j*spacing, j = -m..m: shape (2m+1,) for a
+    float spacing, (B, 2m+1) for a (B, 1) column of spacings.  Each entry
+    is J(j*spacing) whatever the shape, as every operation is elementwise;
+    J is even and (-j)*spacing = -(j*spacing) exactly, so the samples at
+    j >= 0 are mirrored."""
+    half = k(np.arange(m + 1) * spacing)
     return np.concatenate((half[..., :0:-1], half), axis=-1)
 
 

@@ -14,8 +14,9 @@ One step is implicit-explicit Euler:
      convolution (kernels.apply_taps), reaction;
   4. v-samples (z) advance with the stiff d2*xi*z_yy term implicit
      (tridiagonal solve) and everything else explicit;
-  5. roundoff-scale negatives are clamped to zero, anything worse is a
-     solver failure; state invariants are re-checked.
+  5. each row accepts its step in one pass (_Row.commit): roundoff-scale
+     negatives are clamped to zero and anything worse fails, as does a
+     front that recedes, a non-finite value or a breach of k1 or k2.
 
 u is only Lipschitz in x, so first order in time plus upwind advection
 is the appropriate accuracy class; the upwind choice also preserves
@@ -137,6 +138,8 @@ class RunControl:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.dt is not None and not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
 
@@ -201,8 +204,8 @@ def boundary_velocities(b: _Batch) -> None:
     tail mass; the outer integral is trapezoid over the nodes inward from
     the front, the j-th at distance j*(h-g)/n, the offsets of the nonlocal
     taps.  One tail_mass call gives each row's table at the offsets below
-    M, the largest m = min(n+1, floor(radius*n/(h-g)) + 2) of the batch,
-    and both fronts of the row share it.  The flux terms of every front
+    M = min(n+1, 2 + the largest support_offsets of the batch's rows), and
+    both fronts of the row share it.  The flux terms of every front
     are summed by one left-to-right accumulation from the front inward.
     tail(s) is exactly 0 for s >= radius, so a row's terms past its own m
     are exact zeros that leave its sum as it is: each row gets the bits it
@@ -210,7 +213,7 @@ def boundary_velocities(b: _Batch) -> None:
     mirror-symmetric states give gdot = -hdot exactly."""
     n, k, rows = b.n, b.k, b.rows
     half, spacing = b.geo
-    width = max(int(min(n + 1.0, k.radius * n / (row.h - row.g) + 2.0)) for row in rows)
+    width = min(n + 1, 2 + max(support_offsets(k, (row.h - row.g) / n, n + 1) for row in rows))
     idx, offsets = _front_index(n, width)
     # the weights are symmetric, so the first width serve both fronts
     table = b.wq_ref[:width] * half * k.tail_mass(offsets * spacing)
@@ -276,9 +279,14 @@ class _Row:
         cols = (0.5 * length, spacing, dt, mean, spread, scale)
         return cols, support_offsets(b.k, spacing, n + 1), dt * self.p.d2 * (scale * scale) / (dy * dy)
 
-    def check_invariants(self, t: float, g: float, h: float, wmax: float, zmax: float) -> None:
-        """The state the step reached, at t on [g, h] with field maxima
-        wmax and zmax, against the row's state before it."""
+    def commit(self, fields: np.ndarray, lows: list[float], highs: list[float]) -> None:
+        """Advance the row to end, its planned step, or raise SolverFailure.
+        fields is the row's (w, z) after the step, with minima lows and
+        maxima highs; they are checked against the row's state before it."""
+        t, g, h = self.end
+        for f, low, name in zip(fields, lows, "uv"):
+            if not low >= 0.0:  # a negative value or a NaN
+                _clamp_roundoff(f, t, name)
         # For nonnegative fields the front law gives hdot >= 0 >= gdot; the
         # positions are compared non-strictly because dt*hdot can fall below
         # half an ulp of h, leaving h unchanged in floating point.
@@ -287,12 +295,15 @@ class _Row:
                 f"front monotonicity violated at t={t}: h {self.h} -> {h}, g {self.g} -> {g}"
             )
         # a NaN anywhere makes the max NaN; an inf makes it inf
+        wmax, zmax = highs
         if not (math.isfinite(wmax) and math.isfinite(zmax)):
             raise SolverFailure(f"non-finite field values at t={t}")
         if not (wmax <= self.bounds.k1 * (1.0 + _BOUND_SLACK)):
             raise SolverFailure(f"u bound breached at t={t}: max u={wmax} > k1={self.bounds.k1}")
         if not (zmax <= self.bounds.k2 * (1.0 + _BOUND_SLACK)):
             raise SolverFailure(f"v bound breached at t={t}: max v={zmax} > k2={self.bounds.k2}")
+        self.t, self.g, self.h = self.end
+        self.sups = (wmax, zmax)
 
 
 class _Batch:
@@ -371,23 +382,12 @@ class _Batch:
             except LinAlgError as exc:
                 errors[i] = SolverFailure(f"tridiagonal solve failed at t={rows[i].t}: {exc}")
                 errors[i].__cause__ = exc
-        if not out.min() >= 0.0:  # a negative value or a NaN: check each field of each row
-            for i, fmin in enumerate(out.reshape(len(rows), -1).min(axis=1).tolist()):
-                if not fmin >= 0.0 and i not in errors:
-                    try:
-                        _clamp_roundoff(out[i, 0], rows[i].end[0], "u")
-                        _clamp_roundoff(out[i, 1], rows[i].end[0], "v")
-                    except SolverFailure as exc:
-                        errors[i] = exc
-        for i, (row, (wmax, zmax)) in enumerate(zip(rows, out.max(axis=2).tolist())):
+        for i, (row, lows, highs) in enumerate(zip(rows, out.min(axis=2).tolist(), out.max(axis=2).tolist())):
             if i not in errors:
                 try:
-                    row.check_invariants(*row.end, wmax, zmax)
+                    row.commit(out[i], lows, highs)
                 except SolverFailure as exc:
                     errors[i] = exc
-                else:
-                    row.t, row.g, row.h = row.end
-                    row.sups = (wmax, zmax)
         self.wz, self.geo = out, cols[:2]
         if not errors:
             return []

@@ -37,7 +37,6 @@ class SuperSolutionSpec:
     case: str  # "competition" | "predation"
     mu: float
     rho: float
-    h0: float
     h1: float
     lam: float  # principal eigenvalue on (-h1, h1) with potential a; < 0
     budget: float  # admissible mu+rho for the domination guarantee
@@ -215,7 +214,7 @@ def build_vanishing_supersolution(
     u_ratio = _ratio_max(init.u0, np.interp(probe, eig.x, eig.eigenfunction), probe)
     budget, constants, barrier = _RECIPES[p.kind](p, init, h1, lam, probe, u_ratio)
     return SuperSolutionSpec(
-        case=p.kind, mu=p.mu, rho=p.rho, h0=h0, h1=h1, lam=lam, budget=budget,
+        case=p.kind, mu=p.mu, rho=p.rho, h1=h1, lam=lam, budget=budget,
         constants=constants, phi_x=eig.x, phi_samples=eig.eigenfunction, **barrier,
     )
 

@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import time
 from types import SimpleNamespace
@@ -247,6 +248,27 @@ def test_threshold_preconditions():
         estimate_threshold(_params(a=0.5), wide, TENT)
     msg = str(err.value)
     assert "pi*sqrt(d2)" in msg and "critical length" in msg
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"points": 1}, "points must be at least 2, got 1"),
+        ({"points": 0}, "points must be at least 2, got 0"),
+        ({"s_min": math.nan}, "s_min must be positive and finite, got nan"),
+        ({"s_min": 0.0}, "s_min must be positive and finite, got 0.0"),
+        ({"s_max": math.inf}, "s_max must be finite, got inf"),
+        ({"s_min": 10.0, "s_max": 1.0}, "s_min must be < s_max; got 10.0 >= 1.0"),
+        ({"horizon": 0.0}, "horizon must be positive and finite, got 0.0"),
+        ({"horizon": math.inf}, "horizon must be positive and finite, got inf"),
+        ({"n": 7}, "n must be at least 8, got 7"),
+    ],
+)
+def test_scan_control_rejects_a_grid_it_cannot_scan(fields, message):
+    # before the scan runs: points = 1 used to blame s_max, s_min = nan
+    # blamed mu, and s_min > s_max scanned a descending grid
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScanControl(**fields)
 
 
 def test_threshold_all_undecided_inconclusive():

@@ -571,6 +571,25 @@ def test_critical_length_runs_lambda_p_only_for_the_stop_test(monkeypatch):
     assert 1 <= len(calls) <= 3
 
 
+def test_critical_length_rechecks_lo_at_the_frozen_node_count(monkeypatch):
+    # lo = 0.8 is subcritical on its own 9 nodes but not on the bracket's
+    # 17, so the re-check at the frozen node count halves it once
+    calls = []
+
+    def recorded(prob):
+        below = _subcritical(prob)
+        calls.append((prob.ell2, prob.n, below))
+        return below
+
+    monkeypatch.setattr(eigen, "_subcritical", recorded)
+    res = critical_length(1.0, 0.4097, TENT)
+    assert calls[:4] == [(0.8, 9, True), (1.6, 17, False), (0.8, 17, False), (0.4, 17, True)]
+    lo, hi = res.bracket
+    assert res.n == 17 and lo <= res.ell_star <= hi
+    assert res.ell_star == pytest.approx(0.79964, abs=1e-5)
+    assert abs(res.lambda_at_ell_star) < 1e-6
+
+
 def test_stalled_bisection_names_bracket_and_last_eigenvalue(monkeypatch):
     # an eigenvalue shifted by 1 never passes the |lambda_p| < 1e-6 stop test
     def shifted(prob):

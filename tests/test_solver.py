@@ -9,6 +9,7 @@ route at its own discretization error scale.
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ def test_initial_state_pins_endpoints_and_rejects_negative():
     bad = InitialData(h0=1.0, u0=lambda x: np.cos(np.pi * np.asarray(x)), v0=lambda x: 0 * np.asarray(x))
     with pytest.raises(ValueError):
         initial_state(bad, 50)
+
+
+def test_run_control_rejects_a_negative_snapshot_cadence():
+    # the config rejects it too; 0 is the only way to turn snapshots off
+    with pytest.raises(ValueError, match="^snapshot_every must be >= 0, got -3$"):
+        RunControl(horizon=1.0, snapshot_every=-3)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -739,14 +746,15 @@ def test_batch_rows_match_their_runs_alone(family, dt, monkeypatch):
     ]
     doomed = params("competition", 0.3, 2.0)
     jobs.append((doomed, jobs[0][1], None))
-    check_invariants = solver._Row.check_invariants
+    commit = solver._Row.commit
 
-    def failing_after_the_arithmetic(row, t, g, h, wmax, zmax):
+    def failing_after_the_arithmetic(row, fields, lows, highs):
+        t = row.end[0]
         if row.p is doomed and t > 0.014:
             raise SolverFailure(f"injected failure at t={t}")
-        check_invariants(row, t, g, h, wmax, zmax)
+        commit(row, fields, lows, highs)
 
-    monkeypatch.setattr(solver._Row, "check_invariants", failing_after_the_arithmetic)
+    monkeypatch.setattr(solver._Row, "commit", failing_after_the_arithmetic)
     k = Kernel(family, 1.0)
     ctrl = RunControl(horizon=0.6, n=64, dt=dt, record_every=3, snapshot_every=11)
     results = solver.run_batch(jobs, k, ctrl)
@@ -818,13 +826,88 @@ def test_non_finite_after_state_is_reported_as_non_finite(monkeypatch):
     monkeypatch.undo()
 
     row = solver._Row(_params(), s)  # zero front speeds: the fronts stay put
+    row.end = (0.01, s.g, s.h)
     after = np.array([(s.w, s.z)])
     for bad in (np.nan, np.inf):
         after[0, 0, 5] = bad
-        # the field maxima as the step takes them, one (u, v) pair per row
-        (wmax, zmax), = after.max(axis=2).tolist()
+        # the field minima and maxima as the step takes them, one (u, v) pair per row
+        (lows,), (highs,) = after.min(axis=2).tolist(), after.max(axis=2).tolist()
         with pytest.raises(SolverFailure, match="non-finite field values"):
-            row.check_invariants(0.01, s.g, s.h, wmax, zmax)
+            row.commit(after[0], lows, highs)
+
+
+def _inject_into_v(value: float):
+    """A solve_banded that writes value at node 4 of the first row's v."""
+    real, rows_solved = solver.solve_banded, []
+
+    def solve(alpha, b):
+        x = real(alpha, b)
+        if not rows_solved:
+            x[3] = value
+        rows_solved.append(alpha)
+        return x
+
+    return solve
+
+
+def _inject_into_u(reaction):
+    """A reaction() whose u term at node 5 of the first row is -1e3."""
+
+    def react(params, wz):
+        f = reaction(params, wz)
+        f[0, 0, 5] = -1e3
+        return f
+
+    return react
+
+
+@pytest.mark.parametrize("case", ["roundoff-clamp", "u-floor", "v-bound", "fronts"])
+def test_post_step_checks_fail_only_their_row(case, monkeypatch):
+    # row 0 is hit after the arithmetic of a two-row step; row 1 must get
+    # the bits of its step alone, and row 0 the message of its check
+    dt = 0.01
+    jobs = [
+        (_params(), initial_state(InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2), 64)),
+        (_params("predation", mu=0.5), initial_state(InitialData.cosine(h0=0.8, amp_u=0.4, amp_v=0.3), 64)),
+    ]
+    alone = [step(s, p, TENT, dt) for p, s in jobs]
+    rows = [solver._Row(p, s) for p, s in jobs]
+    batch = solver._Batch(TENT, rows, np.array([(s.w, s.z) for _, s in jobs]))
+    solver.boundary_velocities(batch)
+    k2 = rows[0].bounds.k2
+    h0, g0 = rows[0].h, rows[0].g
+    if case == "roundoff-clamp":
+        monkeypatch.setattr(solver, "solve_banded", _inject_into_v(-1e-15))
+    elif case == "u-floor":
+        monkeypatch.setattr(solver, "reaction", _inject_into_u(solver.reaction))
+    elif case == "v-bound":
+        monkeypatch.setattr(solver, "solve_banded", _inject_into_v(2.0 * k2))
+    else:
+        rows[0].hdot = -0.5  # the front law never gives h' < 0 for nonnegative fields
+    failed = batch.step([row.plan(dt, batch) for row in rows])
+    if case == "roundoff-clamp":
+        assert failed == [] and batch.rows == rows and rows[0].t == dt
+        got = batch.state(0)
+        assert got.z[4] == 0.0 and not np.signbit(got.z[4])
+        want_z = alone[0].z.copy()
+        want_z[4] = 0.0
+        assert np.array_equal(got.w, alone[0].w) and np.array_equal(got.z, want_z)
+    else:
+        [(row, exc)] = failed
+        assert row is rows[0] and batch.rows == [rows[1]]
+        message = {
+            "u-floor": r"u fell to -\d\.\d{3}e\+\d\d at t=0\.01, below the roundoff floor -1e-13; "
+            r"the scheme has lost positivity",
+            "v-bound": re.escape(f"v bound breached at t=0.01: max v={2.0 * k2} > k2={k2}"),
+            "fronts": re.escape(
+                f"front monotonicity violated at t=0.01: "
+                f"h {h0} -> {h0 + dt * -0.5}, g {g0} -> {g0 + dt * rows[0].gdot}"
+            ),
+        }[case]
+        assert re.fullmatch(message, str(exc)), str(exc)
+    got = batch.state(batch.rows.index(rows[1]))
+    assert (got.t, got.g, got.h) == (alone[1].t, alone[1].g, alone[1].h)
+    assert np.array_equal(got.w, alone[1].w) and np.array_equal(got.z, alone[1].z)
 
 
 @pytest.mark.xfail(
