@@ -21,7 +21,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Optional
 
@@ -172,9 +172,6 @@ def make_dichotomy_stop(p: ModelParams, k: Kernel, horizon: float):
 
 _SCAN_RECORD_EVERY = 5  # record cadence of every threshold-scan run
 _SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is at most this
-# bisection levels probed per refinement round on more than one CPU: the
-# default grid's neighbour ratio, 10**(9/7) ~ 19.3, takes 3 halvings to 1.5
-_SCAN_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -284,11 +281,11 @@ def _cpus() -> int:
 
 
 def _fork_cpus() -> int:
-    """The parts a threshold scan, or a sweep without a worker count,
-    fans out to: _cpus() where child processes start by fork, otherwise 1.
-    A child started by spawn or forkserver imports numpy and frontlab
-    afresh, which costs more than a scan round it shares, and its jobs,
-    initial profiles included, would have to pickle."""
+    """The parts a sweep without a worker count fans out to: _cpus() where
+    child processes start by fork, otherwise 1.  A child started by spawn
+    or forkserver imports numpy and frontlab afresh, which costs more than
+    the cells it shares, and its jobs, initial profiles included, would
+    have to pickle."""
     cpus = _cpus()
     if cpus == 1:
         return 1
@@ -358,10 +355,19 @@ def _fan_out(fn, items: list, parts: int) -> list:
             recv.close()
 
 
-def _scan_part(k: Kernel, rc: RunControl, jobs: list) -> list[str]:
-    """One part of a scan round run as one batch: the verdict of each job,
-    Undecided where a SolverFailure ended it.  Any other exception is
-    raised."""
+def _classify_at_scales(
+    p: ModelParams,
+    init: InitialData,
+    k: Kernel,
+    scales: list,
+    ray: tuple[float, float],
+    ctrl: ScanControl,
+) -> list[str]:
+    """The verdict at each budget scale, the scales run as one batch in
+    this process; a SolverFailure makes its scale Undecided, and any other
+    exception is raised.  Each verdict is the one its scale gets alone."""
+    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
+    jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
     verdicts = []
     for res in _run_classified(jobs, k, rc):
         if isinstance(res, SolverFailure):
@@ -371,35 +377,6 @@ def _scan_part(k: Kernel, rc: RunControl, jobs: list) -> list[str]:
         else:
             verdicts.append(res[1].verdict)
     return verdicts
-
-
-def _classify_at_scales(
-    p: ModelParams,
-    init: InitialData,
-    k: Kernel,
-    scales: list,
-    ray: tuple[float, float],
-    ctrl: ScanControl,
-    cpus: int = 1,
-) -> list[str]:
-    """The verdict at each budget scale; a SolverFailure makes its scale
-    Undecided.  _fan_out deals the scales into up to cpus parts, each run
-    as one batch: the first in this process, each other one in a child
-    process.  Each verdict is the one its scale gets alone, so the split
-    does not change it."""
-    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
-    jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
-    return _fan_out(partial(_scan_part, k, rc), jobs, cpus)
-
-
-def _bisection_tree(lower: float, upper: float, levels: int) -> list[float]:
-    """The geometric midpoints that up to levels rounds of bisection from
-    (lower, upper) can probe, whichever way each verdict goes, parents
-    before children; a branch ends where upper/lower <= _SCAN_RATIO_TOL."""
-    if levels == 0 or upper / lower <= _SCAN_RATIO_TOL:
-        return []
-    mid = math.sqrt(lower * upper)
-    return [mid] + _bisection_tree(lower, mid, levels - 1) + _bisection_tree(mid, upper, levels - 1)
 
 
 def estimate_threshold(
@@ -416,16 +393,11 @@ def estimate_threshold(
     otherwise spreading is unconditional and no threshold exists.  A
     geometric scan locates Vanishing and Spreading scales, then bisection
     in log scale tightens the bracket at its geometric midpoint until
-    upper/lower <= 1.5 or a probe comes back Undecided.  On one CPU each round probes
-    that midpoint alone.  On more than one, where child processes start
-    by fork (_fork_cpus), the grid and each round are dealt to children by
-    _classify_at_scales, and each round probes the up to 7 midpoints of
-    the next three bisection levels at once; the bisection walks them,
-    and the probes it does not visit are dropped, so the bracket, scanned
-    and monotone_flag are those of one probe per round.  Every run ends under
-    make_dichotomy_stop and is judged by classify, whose plateau rule has
-    fixed tolerances.  Verdicts are not guaranteed monotone in s;
-    monotone_flag reports what the scan actually saw.
+    upper/lower <= 1.5 or a probe comes back Undecided.  The grid runs as
+    one batch, then each round probes that one midpoint, all in this
+    process.  Every run ends under make_dichotomy_stop and is judged by
+    classify, whose plateau rule has fixed tolerances.  Verdicts are not
+    guaranteed monotone in s; monotone_flag reports what the scan saw.
     """
     ctrl = ctrl or ScanControl()
     ray = (p.mu / (p.mu + p.rho), p.rho / (p.mu + p.rho))
@@ -441,15 +413,10 @@ def estimate_threshold(
             "spreading happens for every budget"
         )
 
-    cpus = _fork_cpus()
     scales = np.geomspace(ctrl.s_min, ctrl.s_max, ctrl.points).tolist()
-    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl, cpus)))
-
-    def verdicts():
-        return sorted(records.items())
-
-    vanishing = [s for s, v in verdicts() if v == VANISHING]
-    spreading = [s for s, v in verdicts() if v == SPREADING]
+    records = dict(zip(scales, _classify_at_scales(p, init, k, scales, ray, ctrl)))
+    vanishing = [s for s, v in records.items() if v == VANISHING]
+    spreading = [s for s, v in records.items() if v == SPREADING]
     if not vanishing and not spreading:
         raise InconclusiveError(
             "every scanned scale came back Undecided; raise the horizon or widen the scan"
@@ -472,16 +439,10 @@ def estimate_threshold(
     upper = min(ss for ss in spreading if ss > lower)
 
     # each verdict halves log(upper/lower), so a bracket of doubles reaches
-    # _SCAN_RATIO_TOL within 12 verdicts; a round probes the tree below the
-    # bracket, and only the probes this walk visits are recorded
-    levels = _SCAN_LEVELS if cpus > 1 else 1
-    probed: dict = {}
+    # _SCAN_RATIO_TOL within 12 verdicts
     while upper / lower > _SCAN_RATIO_TOL:
         mid = math.sqrt(lower * upper)
-        if mid not in probed:
-            tree = _bisection_tree(lower, upper, levels)
-            probed = dict(zip(tree, _classify_at_scales(p, init, k, tree, ray, ctrl, cpus)))
-        verdict = records[mid] = probed[mid]
+        verdict = records[mid] = _classify_at_scales(p, init, k, [mid], ray, ctrl)[0]
         if verdict == VANISHING:
             lower = mid
         elif verdict == SPREADING:
@@ -489,7 +450,7 @@ def estimate_threshold(
         else:
             break  # cannot refine through an Undecided band
 
-    ordered = verdicts()
+    ordered = sorted(records.items())
     monotone = all(v == VANISHING for s, v in ordered if s < lower) and all(
         v == SPREADING for s, v in ordered if s > upper
     )
@@ -561,6 +522,12 @@ def _sweep_batch(cells: list) -> list[dict]:
     return rows
 
 
+def check_sweep_workers(workers: Optional[int]) -> None:
+    """Raise the error sweep gives for this worker count before any work."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def sweep(cfg: RunConfig, workers: Optional[int] = None) -> PhaseTable:
     """Classify every cell of the Cartesian grid cfg.sweep_axes spans on
     top of cfg.  Cells are expanded row-major in SWEEP_AXES order and dealt
@@ -573,10 +540,9 @@ def sweep(cfg: RunConfig, workers: Optional[int] = None) -> PhaseTable:
     joined before sweep returns or raises.  The output keeps the row-major
     order, and each row is bit-identical, no matter how many workers run
     or in what order they finish."""
+    check_sweep_workers(workers)
     if workers is None:
         workers = _fork_cpus()
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
     cells = [
         (cfg, dict(zip(names, combo)))

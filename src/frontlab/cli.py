@@ -18,10 +18,11 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
+from .classify import _run_classified, check_sweep_workers, estimate_threshold, sweep
 # classify and make_dichotomy_stop are unused here but stay imported:
 # bench/tracer.py SITES wrap frontlab.cli.classify and RULE_SITES
 # frontlab.cli.make_dichotomy_stop
-from .classify import _run_classified, classify, estimate_threshold, make_dichotomy_stop, sweep  # noqa: F401
+from .classify import classify, make_dichotomy_stop  # noqa: F401
 from .config import RunConfig, load_config
 from .eigen import EigenProblem, check_critical_length_args, critical_length, default_n, lambda_p
 from .errors import ConfigError, ConvergenceError, InconclusiveError, RegimeError, SolverFailure
@@ -165,9 +166,11 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, outdir = _load(args)
+    cfg = load_config(args.config)
     if not cfg.sweep_axes:
         raise ConfigError("sweep requires at least one sweep.<axis> key in the config")
+    check_sweep_workers(args.workers)
+    outdir = _out_dir(args)  # once the flags are checked, before the computation
     table = sweep(cfg, workers=args.workers)
     written = _emit_csv(outdir, cfg, "phase_table.csv", lambda: phase_csv(table))
     verdicts = [row["verdict"] for row in table.rows]

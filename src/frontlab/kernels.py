@@ -4,7 +4,7 @@ Every kernel J is even, continuous, supported on [-R, R], strictly
 positive at 0, Lipschitz, and integrates to exactly 1.  Each family
 also carries a closed-form tail mass
 
-    tail_mass(s) = integral of J over [s, infinity)
+    tail_mass(s) = integral of J over [s, infinity),  s >= 0,
 
 so front-flux integrals never need an inner quadrature.
 """
@@ -45,15 +45,10 @@ class Kernel:
         return self._gauss_norm * np.maximum(raw, 0.0)
 
     def tail_mass(self, s):
-        """Closed-form integral of J over [s, infinity), any real s
-        (vectorized); exactly 0.0 for s >= radius."""
-        s = np.asarray(s, dtype=float)
-        core = self._half_tail(np.minimum(np.abs(s), self.radius))
-        return np.where(s >= 0.0, core, 1.0 - core)
-
-    def _half_tail(self, s):
-        # tail mass for 0 <= s <= radius only
+        """Closed-form integral of J over [s, infinity) for distances
+        s >= 0 (vectorized); exactly 0.0 for s >= radius."""
         r = self.radius
+        s = np.minimum(s, r)
         if self.family == "tent":
             return (r - s) ** 2 / (2.0 * r * r)
         if self.family == "parabolic_bump":

@@ -235,7 +235,7 @@ def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert main(["sweep", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": f"workers must be >= 1, got {workers}"}
-    assert not (out / "phase_table.csv").exists()
+    assert not out.exists()  # the flags are checked before --out-dir is made
 
 
 def test_sweep_without_workers_writes_the_one_worker_table(tmp_path):
@@ -580,26 +580,28 @@ def test_one_worker_sweep_leaves_multiprocessing_unloaded(tmp_path):
     assert json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"] == 4
 
 
-def test_one_cpu_scan_leaves_multiprocessing_unloaded(tmp_path):
-    # on one CPU every scan round runs in the calling process
+def test_scan_leaves_multiprocessing_unloaded(tmp_path):
+    # every scan round runs in the calling process, on one CPU or on two
     cfg = _write(tmp_path, THRESHOLD_CFG)
-    argv = ["threshold", "--config", cfg, "--out-dir", str(tmp_path / "o")]
+    outs = {cpus: str(tmp_path / f"cpus{cpus}") for cpus in (1, 2)}
     code = (
         "import sys\n"
         "from frontlab.cli import main\n"
-        "sys.modules['frontlab.classify']._cpus = lambda: 1\n"
-        f"print(main({argv!r}))\n"
-        "print([m for m in sys.modules if m.startswith('multiprocessing')])\n"
+        "codes = []\n"
+        f"for cpus, out in {sorted(outs.items())!r}:\n"
+        "    sys.modules['frontlab.classify']._cpus = lambda: cpus\n"
+        f"    codes.append(main(['threshold', '--config', {cfg!r}, '--out-dir', out]))\n"
+        "print(codes, [m for m in sys.modules if m.startswith('multiprocessing')])\n"
     )
-    lines = _fresh_interpreter(code).splitlines()
-    assert lines[-2:] == ["0", "[]"]
-    assert json.loads((tmp_path / "o" / "threshold.json").read_text())["upper"] > 0.0
+    assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0] []"
+    one, two = ((tmp_path / f"cpus{cpus}" / "threshold.json").read_bytes() for cpus in (1, 2))
+    assert two == one and json.loads(one)["upper"] > 0.0
 
 
 def test_spawn_scan_on_two_cpus_writes_the_one_cpu_threshold_json(tmp_path):
-    # a spawned child would need each part's jobs pickled, and the cosine
-    # profiles are closures; under spawn a scan on two CPUs starts no child
-    # and writes the one-CPU scan's bytes
+    # the cosine profiles are closures, which a spawned child could not
+    # unpickle; under spawn a scan on two CPUs starts no child and writes
+    # the one-CPU scan's bytes
     cfg = _write(tmp_path, THRESHOLD_CFG)
     outs = {cpus: str(tmp_path / f"cpus{cpus}") for cpus in (1, 2)}
     code = (
