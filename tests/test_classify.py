@@ -411,6 +411,39 @@ def test_scan_ends_at_an_undecided_probe(monkeypatch):
     assert est.monotone_flag  # the Undecided scale lies inside the bracket
 
 
+@pytest.mark.parametrize("kind", ["competition", "predation"])
+def test_scan_estimate_does_not_depend_on_the_cpu_count(monkeypatch, kind, fork_children):
+    # criterion-08 setup with the default scan: on one, two or three CPUs
+    # under fork the scan probes one midpoint a round in this process
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    estimates = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(classify_module, "_cpus", lambda: cpus)
+        estimates.append(estimate_threshold(_params(kind=kind), init, TENT))
+    assert estimates[0].upper / estimates[0].lower <= 1.5
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_exception_is_raised_and_its_solver_failure_is_undecided(monkeypatch):
+    # the scales run as one batch; the second scale's result is replaced
+    real = classify_module._run_classified
+    second = []
+
+    def run_classified(jobs, k, ctrl):
+        return real(jobs[:1], k, ctrl) + [second[0]] * (len(jobs) - 1)
+
+    monkeypatch.setattr(classify_module, "_run_classified", run_classified)
+    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
+    scales = [1e-6, 1e3]
+    second.append(ValueError("second scale"))
+    with pytest.raises(ValueError, match="second scale"):
+        classify_module._classify_at_scales(_params(), init, TENT, scales, (0.5, 0.5), ScanControl())
+    second[0] = SolverFailure("u bound breached")
+    got = classify_module._classify_at_scales(_params(), init, TENT, scales, (0.5, 0.5), ScanControl())
+    assert got == [VANISHING, UNDECIDED]
+
+
 def test_scan_brackets_the_last_vanishing_spreading_pair(monkeypatch):
     # grid verdicts V S V S: the bracket starts from the last pair, and the
     # Spreading verdict below it is reported
