@@ -178,7 +178,7 @@ _SCAN_RATIO_TOL = 1.5  # stop refining once upper/lower is at most this
 class ScanControl:
     """The grid of estimate_threshold's scan over the front-budget scale,
     points scales log-spaced on [s_min, s_max], and the horizon and node
-    count of every run it makes."""
+    count of every run it makes, which _scan_run_control checks."""
 
     s_min: float = 1e-6
     s_max: float = 1e3
@@ -195,10 +195,12 @@ class ScanControl:
             raise ValueError(f"s_min must be < s_max; got {self.s_min!r} >= {self.s_max!r}")
         if self.points < 2:
             raise ValueError(f"points must be at least 2, got {self.points}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if self.n < 8:
-            raise ValueError(f"n must be at least 8, got {self.n}")
+        _scan_run_control(self)  # checks horizon and n
+
+
+def _scan_run_control(ctrl: ScanControl) -> RunControl:
+    """The RunControl of every run the scan ctrl makes."""
+    return RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
 
 
 @dataclass
@@ -280,23 +282,6 @@ def _cpus() -> int:
     return cpus
 
 
-def _fork_cpus() -> int:
-    """The parts a sweep without a worker count fans out to: _cpus() where
-    child processes start by fork, otherwise 1.  A child started by spawn
-    or forkserver imports numpy and frontlab afresh, which costs more than
-    the cells it shares, and its jobs, initial profiles included, would
-    have to pickle."""
-    cpus = _cpus()
-    if cpus == 1:
-        return 1
-    # imported here: on one CPU nothing starts a child
-    import multiprocessing
-
-    # the default start method, without fixing it for the caller
-    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
-    return cpus if method == "fork" else 1
-
-
 def _child(conn, fn, part) -> None:
     """Body of a fan-out child process: sends fn(part), or the exception
     that ended it, over conn."""
@@ -366,10 +351,9 @@ def _classify_at_scales(
     """The verdict at each budget scale, the scales run as one batch in
     this process; a SolverFailure makes its scale Undecided, and any other
     exception is raised.  Each verdict is the one its scale gets alone."""
-    rc = RunControl(horizon=ctrl.horizon, n=ctrl.n, record_every=_SCAN_RECORD_EVERY)
     jobs = [(replace(p, mu=s * ray[0], rho=s * ray[1]), init) for s in scales]
     verdicts = []
-    for res in _run_classified(jobs, k, rc):
+    for res in _run_classified(jobs, k, _scan_run_control(ctrl)):
         if isinstance(res, SolverFailure):
             verdicts.append(UNDECIDED)
         elif isinstance(res, Exception):
@@ -534,15 +518,25 @@ def sweep(cfg: RunConfig, workers: Optional[int] = None) -> PhaseTable:
     by _fan_out into min(workers, cells) batches, so workers counts the
     processes doing work: the first batch runs in this process, each other
     batch in a child process of its own, started by multiprocessing's
-    default start method.  workers defaults to _fork_cpus(), the CPUs this
-    process may use where children start by fork and 1 otherwise.  An
-    exception that ends a child's batch is raised here, and every child is
-    joined before sweep returns or raises.  The output keeps the row-major
-    order, and each row is bit-identical, no matter how many workers run
-    or in what order they finish."""
+    default start method.  workers defaults to _cpus(), the CPUs this
+    process may use, where that method is fork, and to 1 otherwise: a
+    child started by spawn or forkserver imports numpy and frontlab
+    afresh, which costs more than the cells it shares.  The default is
+    read without fixing the start method for the caller.  An exception
+    that ends a child's batch is raised here, and every child is joined
+    before sweep returns or raises.  The output keeps the row-major order,
+    and each row is bit-identical, no matter how many workers run or in
+    what order they finish."""
     check_sweep_workers(workers)
     if workers is None:
-        workers = _fork_cpus()
+        workers = _cpus()
+        if workers > 1:
+            # imported here: on one CPU nothing starts a child
+            import multiprocessing
+
+            method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+            if method != "fork":
+                workers = 1
     names = [name for name in SWEEP_AXES if name in cfg.sweep_axes]
     cells = [
         (cfg, dict(zip(names, combo)))

@@ -411,20 +411,6 @@ def test_scan_ends_at_an_undecided_probe(monkeypatch):
     assert est.monotone_flag  # the Undecided scale lies inside the bracket
 
 
-@pytest.mark.parametrize("kind", ["competition", "predation"])
-def test_scan_estimate_does_not_depend_on_the_cpu_count(monkeypatch, kind, fork_children):
-    # criterion-08 setup with the default scan: on one, two or three CPUs
-    # under fork the scan probes one midpoint a round in this process
-    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    estimates = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(classify_module, "_cpus", lambda: cpus)
-        estimates.append(estimate_threshold(_params(kind=kind), init, TENT))
-    assert estimates[0].upper / estimates[0].lower <= 1.5
-    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
-    assert multiprocessing.active_children() == []
-
-
 def test_scan_exception_is_raised_and_its_solver_failure_is_undecided(monkeypatch):
     # the scales run as one batch; the second scale's result is replaced
     real = classify_module._run_classified
@@ -606,30 +592,14 @@ def test_sweep_child_exception_is_raised_with_its_type(monkeypatch, fork_childre
 @pytest.mark.parametrize("kind", ["competition", "predation"])
 def test_scan_starts_no_child_on_any_cpu_count(monkeypatch, kind, fork_children):
     # criterion-08 setup with the default scan: with 4 CPUs under fork, and
-    # no process able to start, the scan gives the one-CPU estimate
-    init = InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3)
-    monkeypatch.setattr(classify_module, "_cpus", lambda: 1)
-    serial = estimate_threshold(_params(kind=kind), init, TENT)
-
+    # no process able to start, the scan runs in this process
     def refuse(self):
         raise AssertionError("the threshold scan started a child process")
 
     monkeypatch.setattr(classify_module, "_cpus", lambda: 4)
     monkeypatch.setattr(multiprocessing.Process, "start", refuse)
-    assert estimate_threshold(_params(kind=kind), init, TENT) == serial
-    assert (serial.lower, serial.upper) == (17.06643681296347, 24.709112279856093)
-
-
-def test_fork_cpus_follow_the_default_start_method_without_fixing_it(monkeypatch):
-    monkeypatch.setattr(classify_module, "_cpus", lambda: 2)
-    before = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(None, force=True)
-    try:
-        default = multiprocessing.get_all_start_methods()[0]
-        assert classify_module._fork_cpus() == (2 if default == "fork" else 1)
-        assert multiprocessing.get_start_method(allow_none=True) is None
-    finally:
-        multiprocessing.set_start_method(before, force=True)
+    est = estimate_threshold(_params(kind=kind), InitialData.cosine(h0=0.3, amp_u=1e-3, amp_v=1e-3), TENT)
+    assert (est.lower, est.upper) == (17.06643681296347, 24.709112279856093)
 
 
 def test_fan_out_returns_uneven_parts_in_item_order(monkeypatch, fork_children):
@@ -647,23 +617,38 @@ def test_fan_out_returns_uneven_parts_in_item_order(monkeypatch, fork_children):
     assert calls == [os.getpid()] and len(started) == 2
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize(
+    "method", [None, "fork", "spawn", "forkserver"], ids=["default", "fork", "spawn", "forkserver"]
+)
 def test_sweep_without_workers_fans_out_over_the_cpus_only_under_fork(monkeypatch, method):
-    # without a worker count a sweep takes _fork_cpus(): here 3 CPUs under
-    # fork, 1 under spawn and forkserver, where 2 workers still start a child
-    if method not in multiprocessing.get_all_start_methods():
+    # without a worker count a sweep takes _cpus(), here 3, under fork and 1
+    # under spawn and forkserver, where 2 workers still start a child.  With
+    # no start method set, the platform's default decides, and the sweep
+    # reads it without fixing it before its fan-out
+    if method is not None and method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"the {method} start method is unavailable")
     monkeypatch.setattr(classify_module, "_cpus", lambda: 3)
     started = _record_starts(monkeypatch)
+    fan_outs = []
+    real = classify_module._fan_out
+
+    def fan_out(fn, items, parts):
+        fan_outs.append((parts, multiprocessing.get_start_method(allow_none=True)))
+        return real(fn, items, parts)
+
+    monkeypatch.setattr(classify_module, "_fan_out", fan_out)
     before = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(method, force=True)
+    forks = (method or multiprocessing.get_all_start_methods()[0]) == "fork"
     try:
         for axes, cells in (("sweep.mu = 1e-6, 10.0\n", 2), ("sweep.a = 0.5, 1.0\nsweep.mu = 1e-6, 10.0\n", 4)):
             started.clear()
+            fan_outs.clear()
+            multiprocessing.set_start_method(method, force=True)  # a started child fixes an unset method
             assert len(sweep(_sweep_config(axes, horizon=5.0)).rows) == cells
-            assert len(started) == (min(3, cells) - 1 if method == "fork" else 0)
+            assert fan_outs == [(3 if forks else 1, method)]
+            assert len(started) == (min(3, cells) - 1 if forks else 0)
             assert multiprocessing.active_children() == []
-        if method != "fork":
+        if not forks:
             started.clear()
             sweep(_sweep_config("sweep.mu = 1e-6, 10.0\n", horizon=5.0), workers=2)
             assert len(started) == 1

@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from frontlab import Kernel, cli, lambda_p_interval
+from frontlab import Kernel, RegimeError, cli, lambda_p_interval
+from frontlab.classify import make_dichotomy_stop
 from frontlab.config import load_config, render_config
 from frontlab.cli import (
     EXIT_CONFIG,
@@ -247,6 +249,25 @@ def test_sweep_without_workers_writes_the_one_worker_table(tmp_path):
     assert "sweep.workers" not in record["config"]
 
 
+def test_sweep_cell_without_a_critical_length_bracket_fails_alone(tmp_path):
+    # at a = 1e-6 the critical length lies beyond ell_max = 50, so the
+    # cell's stop rule cannot be built and its row is Failed; the a = 0.5
+    # cell keeps the row it gets alone, at one worker and at two
+    base = load_config(_write(tmp_path, BASE))
+    with pytest.raises(RegimeError, match="^no sign change found below ell_max=50; check parameters$"):
+        make_dichotomy_stop(replace(base.model, a=1e-6), base.kernel, 2.0)
+    tables = []
+    for i, (axis, workers) in enumerate((("1e-6, 0.5", "1"), ("1e-6, 0.5", "2"), ("0.5", "1"))):
+        cfg = _write(tmp_path, BASE + f"sweep.a = {axis}\n", name=f"{i}.cfg")
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / str(i)), "--workers", workers]) == EXIT_OK
+        tables.append((tmp_path / str(i) / "phase_table.csv").read_bytes())
+    one_worker, two_workers, alone = tables
+    assert two_workers == one_worker
+    header, failed, kept = one_worker.decode().splitlines()
+    assert failed.split(",")[7:] == ["Failed", "RegimeError", "nan", "nan", "nan", "nan"]
+    assert [header, kept] == alone.decode().splitlines()
+
+
 def test_sweep_without_axes_is_config_error(tmp_path):
     cfg = _write(tmp_path, BASE)
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -372,6 +393,7 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):
         (["eigen", "--d", "1", "--theta0", "0.5", "--length", "1e-300"], "interval length 1e-300 too short"),
         (["eigen", "--d", "1", "--theta0", "0.5", "--length", "1e308"], "interval length 1e+308 too long"),
         (["eigen", "--d", "1", "--theta0", "0.5", "--length", "2", "--radius", "1e-323"], "interval length 2.0 too long"),
+        (["eigen", "--d", "1", "--theta0", "nan", "--length", "2"], "theta0 must be finite, got nan"),
     ],
     ids=[
         "eigen-d=-1",
@@ -383,6 +405,7 @@ def test_spread_length_is_an_unknown_key(tmp_path, capsys, key):
         "eigen-length=1e-300",
         "eigen-length=1e308",
         "eigen-radius=1e-323",
+        "eigen-theta0=nan",
     ],
 )
 def test_bad_flag_value_exit_code(tmp_path, capsys, argv, message):
@@ -417,6 +440,16 @@ def test_regime_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["supersolution-check", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_REGIME
     assert json.loads(capsys.readouterr().err)["error"] == "RegimeError"
+
+
+def test_critical_length_without_a_sign_change_exit_code(tmp_path, capsys):
+    # at a = d1 - 1e-10 lambda_p stays positive down to 1e-9 kernel radii
+    out = tmp_path / "o"
+    assert main(["critical-length", "--d1", "1", "--a", "0.9999999999", "--out-dir", str(out)]) == EXIT_REGIME
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RegimeError"
+    assert err["message"].startswith("no sign change found above length")
+    assert not (out / "critical_length.json").exists()
 
 
 def test_automatic_h1_regime_error_names_half_the_critical_length(tmp_path, capsys):
@@ -544,7 +577,7 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # run, would add to every command's start-up time and memory; LAPACK
     # comes from scipy's compiled wrapper alone, found without importing
     # scipy and not left in sys.modules, and multiprocessing loads only
-    # when a sweep has more than one batch or a scan more than one CPU
+    # when a sweep has more than one batch, or no worker count on two CPUs or more
     code = "import json, sys, frontlab.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(_fresh_interpreter(code))
     assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
@@ -596,27 +629,6 @@ def test_scan_leaves_multiprocessing_unloaded(tmp_path):
     assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0] []"
     one, two = ((tmp_path / f"cpus{cpus}" / "threshold.json").read_bytes() for cpus in (1, 2))
     assert two == one and json.loads(one)["upper"] > 0.0
-
-
-def test_spawn_scan_on_two_cpus_writes_the_one_cpu_threshold_json(tmp_path):
-    # the cosine profiles are closures, which a spawned child could not
-    # unpickle; under spawn a scan on two CPUs starts no child and writes
-    # the one-CPU scan's bytes
-    cfg = _write(tmp_path, THRESHOLD_CFG)
-    outs = {cpus: str(tmp_path / f"cpus{cpus}") for cpus in (1, 2)}
-    code = (
-        "import multiprocessing, sys\n"
-        "from frontlab.cli import main\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "codes = []\n"
-        f"for cpus, out in {sorted(outs.items())!r}:\n"
-        "    sys.modules['frontlab.classify']._cpus = lambda: cpus\n"
-        f"    codes.append(main(['threshold', '--config', {cfg!r}, '--out-dir', out]))\n"
-        "print(codes, multiprocessing.get_start_method(), multiprocessing.active_children())\n"
-    )
-    assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0] spawn []"
-    one, two = ((tmp_path / f"cpus{cpus}" / "threshold.json").read_bytes() for cpus in (1, 2))
-    assert two == one
 
 
 def test_spawned_sweep_children_match_one_process():

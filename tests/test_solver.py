@@ -151,10 +151,20 @@ def test_initial_state_pins_endpoints_and_rejects_negative():
         initial_state(bad, 50)
 
 
-def test_run_control_rejects_a_negative_snapshot_cadence():
-    # the config rejects it too; 0 is the only way to turn snapshots off
-    with pytest.raises(ValueError, match="^snapshot_every must be >= 0, got -3$"):
-        RunControl(horizon=1.0, snapshot_every=-3)
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the config rejects it too; 0 is the only way to turn snapshots off
+        ({"snapshot_every": -3}, "snapshot_every must be >= 0, got -3"),
+        ({"n": 7}, "n must be at least 8, got 7"),
+        ({"record_every": 0}, "record_every must be >= 1, got 0"),
+        ({"dt": 0.0}, "dt must be positive, got 0.0"),
+        ({"dt": -0.1}, "dt must be positive, got -0.1"),
+    ],
+)
+def test_run_control_rejects_a_setting_it_cannot_run(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunControl(horizon=1.0, **fields)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -771,6 +781,30 @@ def test_batch_rows_match_their_runs_alone(family, dt, monkeypatch):
             assert isinstance(result, SolverFailure) and str(result) == str(exc)
         else:
             _assert_same_run(result, want)
+
+
+def test_a_stop_rule_that_raises_ends_only_its_own_row():
+    # the middle row's rule raises at its second record, the first it is
+    # called at; the rows on either side run on, one of them to its own stop
+    error = ValueError("stop rule failed")
+
+    def failing(rec):
+        if len(rec.t) == 2:
+            raise error
+
+    init = InitialData.cosine(h0=1.0, amp_u=0.3, amp_v=0.2)
+    jobs = [
+        (_params(), init, None),
+        (_params("predation"), init, failing),
+        (_params(mu=0.5), init, lambda rec: "probe" if rec.t[-1] >= 0.25 else None),
+    ]
+    ctrl = RunControl(horizon=0.5, n=64, record_every=3)
+    results = solver.run_batch(jobs, TENT, ctrl)
+    assert results[1] is error
+    assert (results[0].termination, results[2].termination) == ("horizon", "stop:probe")
+    for i in (0, 2):
+        p, init, stop_rule = jobs[i]
+        _assert_same_run(results[i], run(p, init, TENT, ctrl, stop_rule=stop_rule))
 
 
 def test_batch_step_fails_only_the_degenerate_row():
